@@ -1,5 +1,7 @@
-//! Benchmark: one search-kernel level expansion (Algorithm 1's inner
-//! loop) on skewed and regular graphs.
+//! Benchmark: search-kernel level expansions (Algorithm 1's inner loop)
+//! on skewed and regular graphs. Depth 1 expands single roots; depth 2
+//! expands sibling groups, where the kernel intersects each parent's
+//! shared constraint once for all its children.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -8,8 +10,31 @@ use cuts_core::kernels::{expand_range, init_candidates, ExpandParams};
 use cuts_core::{LevelMethod, MatchOrder};
 use cuts_gpu_sim::{Device, DeviceConfig};
 use cuts_graph::generators::clique;
-use cuts_graph::{Dataset, Scale};
+use cuts_graph::{Dataset, Graph, Scale};
 use cuts_trie::Trie;
+
+/// Builds levels `0..=depth` of `plan` over `data` on a fresh trie and
+/// returns the size of the last one.
+fn expand_to(device: &Device, data: &Graph, plan: &MatchOrder, depth: usize) -> usize {
+    let mut trie = Trie::on_device(device, 1 << 20).unwrap();
+    init_candidates(device, data, plan, &trie, 256, None).unwrap();
+    let mut frontier = trie.seal_level();
+    for pos in 1..=depth {
+        let params = ExpandParams {
+            data,
+            plan,
+            pos,
+            vwarp: 8,
+            method: LevelMethod::PerPath,
+            shared_words: 24576,
+            placement: None,
+            max_blocks: 256,
+        };
+        expand_range(device, &trie, frontier, &params).unwrap();
+        frontier = trie.seal_level();
+    }
+    frontier.len()
+}
 
 fn bench_expand(c: &mut Criterion) {
     let mut group = c.benchmark_group("search_kernel");
@@ -19,29 +44,13 @@ fn bench_expand(c: &mut Criterion) {
         let query = clique(4);
         let plan = MatchOrder::compute(&query).unwrap();
         let device = Device::new(DeviceConfig::v100_like());
-        group.bench_with_input(
-            BenchmarkId::new("expand-level1", ds.name()),
-            &data,
-            |b, data| {
-                b.iter(|| {
-                    let mut trie = Trie::on_device(&device, 1 << 20).unwrap();
-                    init_candidates(&device, data, &plan, &trie, 256, None).unwrap();
-                    let lvl0 = trie.seal_level();
-                    let params = ExpandParams {
-                        data,
-                        plan: &plan,
-                        pos: 1,
-                        vwarp: 8,
-                        method: LevelMethod::PerPath,
-                        shared_words: 24576,
-                        placement: None,
-                        max_blocks: 256,
-                    };
-                    expand_range(&device, &trie, lvl0, &params).unwrap();
-                    black_box(trie.seal_level().len())
-                });
-            },
-        );
+        for depth in [1, 2] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("expand-level{depth}"), ds.name()),
+                &data,
+                |b, data| b.iter(|| black_box(expand_to(&device, data, &plan, depth))),
+            );
+        }
     }
     group.finish();
 }

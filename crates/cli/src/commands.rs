@@ -1406,6 +1406,45 @@ mod tests {
     }
 
     #[test]
+    fn profile_levels_account_for_hybrid_chunks() {
+        // A budget tight enough that the BFS walk spills into hybrid
+        // chunks: the per-level table must still sum every committed
+        // path, chunk expansions included.
+        let mut device = Device::new(DeviceConfig::test_small().with_global_mem_words(1 << 12));
+        device.set_trace(Trace::enabled());
+        let session = ExecSession::new(&device, EngineConfig::default());
+        let data = cuts_graph::generators::erdos_renyi(60, 400, 3);
+        let r = session.run(&data, &clique(4)).unwrap();
+        assert!(r.used_chunking, "the tight budget must force chunking");
+        let events = device
+            .trace()
+            .journal()
+            .expect("tracing is on")
+            .snapshot_sorted();
+        let report = profile_report(&events);
+        let paths: Vec<u64> = (0..r.level_counts.len())
+            .map(|l| {
+                let row = report
+                    .lines()
+                    .find(|line| line.trim_start().starts_with(&format!("level {l} ")))
+                    .unwrap_or_else(|| panic!("no row for level {l}:\n{report}"));
+                row.split_whitespace()
+                    .rev()
+                    .nth(1)
+                    .unwrap()
+                    .parse()
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(paths, r.level_counts, "{report}");
+        let spilled = events
+            .iter()
+            .filter(|e| e.kind == EventKind::Level && e.arg("spilled").is_some())
+            .count();
+        assert_eq!(spilled, 1, "exactly the overflowing BFS level spills");
+    }
+
+    #[test]
     fn end_to_end_match_command() {
         let opts = MatchOpts {
             data: DataSource::Dataset {

@@ -29,6 +29,7 @@
 //! across randomized insert/delete schedules).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use cuts_gpu_sim::Device;
 use cuts_graph::{BatchError, EdgeBatch, Graph, GraphDelta, VertexId};
@@ -37,6 +38,7 @@ use cuts_trie::HostTrie;
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
+use crate::plan::QueryPlan;
 use crate::session::ExecSession;
 
 /// Handle to one standing query inside a [`DynamicSession`].
@@ -122,20 +124,25 @@ impl From<EngineError> for DynamicError {
     }
 }
 
-/// One registered standing query: its graph, its matching order (fixed
-/// at registration) and the host mirror of its current embedding trie
-/// (full paths in order space).
+/// One registered standing query: its graph, its plan (resolved once at
+/// registration: the matching order and the level-0 root filter) and
+/// the host mirror of its current embedding trie (full paths in order
+/// space).
 struct StandingQuery {
     query: Graph,
-    /// `order[l]` = query vertex matched at depth `l`.
-    order: Vec<VertexId>,
+    plan: Arc<QueryPlan>,
     trie: HostTrie,
 }
 
 impl StandingQuery {
+    /// `order()[l]` = query vertex matched at depth `l`.
+    fn order(&self) -> &[VertexId] {
+        &self.plan.order.order
+    }
+
     /// All current embeddings as order-space paths.
     fn paths(&self) -> Vec<Vec<u32>> {
-        let n = self.order.len();
+        let n = self.order().len();
         if self.trie.depth() == n {
             self.trie.paths_at_level(n - 1)
         } else {
@@ -145,8 +152,8 @@ impl StandingQuery {
 
     /// Converts an order-space path to a query-vertex-space embedding.
     fn to_embedding(&self, path: &[u32]) -> Vec<VertexId> {
-        let mut emb = vec![0u32; self.order.len()];
-        for (l, &q) in self.order.iter().enumerate() {
+        let mut emb = vec![0u32; self.order().len()];
+        for (l, &q) in self.order().iter().enumerate() {
             emb[q as usize] = path[l];
         }
         emb
@@ -229,10 +236,9 @@ impl<'d> DynamicSession<'d> {
     /// maintenance.
     pub fn register(&mut self, query: &Graph) -> Result<StandingQueryId, EngineError> {
         let plan = self.session.plan_for(query)?;
-        let order = plan.order.order.clone();
         let mut paths: Vec<Vec<u32>> = Vec::new();
         {
-            let order = &order;
+            let order = &plan.order.order;
             let mut sink = |m: &[u32]| {
                 paths.push(order.iter().map(|&q| m[q as usize]).collect());
             };
@@ -242,7 +248,7 @@ impl<'d> DynamicSession<'d> {
         let id = StandingQueryId(self.queries.len());
         self.queries.push(StandingQuery {
             query: query.clone(),
-            order,
+            plan,
             trie: HostTrie::from_flat_paths(&paths),
         });
         Ok(id)
@@ -292,7 +298,7 @@ impl<'d> DynamicSession<'d> {
         let graph = &self.graph;
         let mut deltas = Vec::with_capacity(self.queries.len());
         for (qi, sq) in self.queries.iter_mut().enumerate() {
-            let n = sq.order.len();
+            let n = sq.order().len();
             let ball = dirty_ball(graph, &delta, n - 1);
             let (clean, dirty) = sq.trie.partition_roots(|r| ball.contains(&r));
             let dirty_roots = dirty.levels.first().map_or(0, |r| r.len());
@@ -305,12 +311,12 @@ impl<'d> DynamicSession<'d> {
 
             // Re-seed every ball vertex that passes the level-0 filter
             // on the *new* graph (vertices failing it host no roots).
-            let mut seeds: Vec<u32> = Vec::new();
-            for &v in &ball {
-                if session.root_passes(graph, &sq.query, v)? {
-                    seeds.push(v);
-                }
-            }
+            let root = &sq.plan.order;
+            let mut seeds: Vec<u32> = ball
+                .iter()
+                .copied()
+                .filter(|&v| root.root_passes(graph, v))
+                .collect();
             seeds.sort_unstable();
 
             let mut new_paths: BTreeSet<Vec<u32>> = BTreeSet::new();
@@ -318,7 +324,7 @@ impl<'d> DynamicSession<'d> {
             if !seeds.is_empty() {
                 let seed_paths: Vec<Vec<u32>> = seeds.iter().map(|&v| vec![v]).collect();
                 let seed = HostTrie::from_flat_paths(&seed_paths);
-                let order = &sq.order;
+                let order = sq.order();
                 let mut sink = |m: &[u32]| {
                     new_paths.insert(order.iter().map(|&q| m[q as usize]).collect());
                 };

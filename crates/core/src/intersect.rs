@@ -92,7 +92,6 @@ pub fn c_intersection(
     ctr.shmem_write(first.len());
     charge_idle(ctr, first.len(), vwarp);
     out.extend_from_slice(first);
-    let mut tmp: Vec<VertexId> = Vec::with_capacity(out.len());
     for list in rest {
         if out.is_empty() {
             return;
@@ -101,17 +100,38 @@ pub fn c_intersection(
         // then probe the shared buffer.
         ctr.dram_read_coalesced(list.len());
         charge_idle(ctr, list.len(), vwarp);
-        tmp.clear();
-        for &v in *list {
-            ctr.shmem_read(probe_cost(out.len()));
-            if out.binary_search(&v).is_ok() {
-                tmp.push(v);
-            }
-        }
+        ctr.shmem_read(list.len() * probe_cost(out.len()));
+        let kept = retain_sorted(out, list);
         // interset2 replaces interset1 in shared memory.
-        ctr.shmem_write(tmp.len());
-        std::mem::swap(out, &mut tmp);
+        ctr.shmem_write(kept);
     }
+}
+
+/// Keeps the elements of sorted `set` that also occur in sorted `list`,
+/// in place (survivors stay sorted); returns how many survived. Gallops
+/// forward in `list`, so the host cost stays near linear for lists of
+/// similar length and logarithmic in the longer one otherwise, whatever
+/// probes the caller charges.
+fn retain_sorted(set: &mut Vec<VertexId>, list: &[VertexId]) -> usize {
+    let (mut w, mut j) = (0, 0);
+    for r in 0..set.len() {
+        let v = set[r];
+        let rest = &list[j..];
+        let mut step = 1;
+        while step < rest.len() && rest[step - 1] < v {
+            step *= 2;
+        }
+        j += rest[..step.min(rest.len())].partition_point(|&x| x < v);
+        if j == list.len() {
+            break;
+        }
+        if list[j] == v {
+            set[w] = v;
+            w += 1;
+        }
+    }
+    set.truncate(w);
+    w
 }
 
 /// p-intersection (Algorithm 2, lines 33-42). `lists` must be sorted; the
@@ -153,12 +173,14 @@ pub fn p_intersection(
 /// `lists` must be sorted and duplicate-free (CSR adjacency guarantees
 /// both); the result in `out` is sorted. When the double-buffered bitmap
 /// would not fit `shared_words`, the kernel degrades to
-/// [`c_intersection`] — identical results, honestly charged.
+/// [`c_intersection`] — identical results, honestly charged. `bitmaps`
+/// is caller-owned scratch for the two bitmaps, reused across calls.
 pub fn b_intersection(
     lists: &[&[VertexId]],
     vwarp: usize,
     shared_words: usize,
     ctr: &mut BlockCounters,
+    bitmaps: &mut Vec<u32>,
     out: &mut Vec<VertexId>,
 ) {
     out.clear();
@@ -179,13 +201,14 @@ pub fn b_intersection(
     ctr.dram_read_coalesced(first.len());
     ctr.shmem_write(words + first.len());
     charge_idle(ctr, first.len(), vwarp);
-    let mut cur = vec![0u32; words];
+    bitmaps.clear();
+    bitmaps.resize(2 * words, 0);
+    let (mut cur, mut next) = bitmaps.split_at_mut(words);
     for &v in *first {
         let b = v as usize - lo;
         cur[b / 32] |= 1 << (b % 32);
     }
     let hi = lo + list_span(first) - 1;
-    let mut next = vec![0u32; words];
     for list in rest {
         // Stream the constraint coalesced; one shared probe per in-span
         // element (the out-of-span bounds test is register-only ALU).
@@ -208,7 +231,7 @@ pub fn b_intersection(
         }
         ctr.shmem_write(kept);
         std::mem::swap(&mut cur, &mut next);
-        next.iter_mut().for_each(|w| *w = 0);
+        next.fill(0);
         if kept == 0 {
             return;
         }
@@ -297,24 +320,121 @@ pub(crate) fn pick_method(
     }
 }
 
+/// The scalar statistics [`pick_method`] prices, taken from a set of
+/// constraint lists sorted shortest first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ListStats {
+    first_len: usize,
+    bmp_words: usize,
+    stream: usize,
+    probe_words: usize,
+}
+
+impl ListStats {
+    /// Statistics of shortest-first `lists`; `None` when there are none.
+    pub(crate) fn of(lists: &[&[VertexId]]) -> Option<ListStats> {
+        let (first, rest) = lists.split_first()?;
+        Some(ListStats {
+            first_len: first.len(),
+            bmp_words: bitmap_words(list_span(first)),
+            stream: rest.iter().map(|l| l.len()).sum(),
+            probe_words: rest.iter().map(|l| probe_cost(l.len())).sum(),
+        })
+    }
+
+    /// Length of the shortest list: an upper bound on the intersection.
+    pub(crate) fn first_len(&self) -> usize {
+        self.first_len
+    }
+
+    /// The arm [`pick_method`] picks for these lists.
+    pub(crate) fn pick(&self, shared_words: usize) -> Method {
+        pick_method(
+            self.first_len,
+            self.bmp_words,
+            self.stream,
+            self.probe_words,
+            shared_words,
+        )
+    }
+
+    /// DRAM words `method` reads intersecting these lists, assuming no
+    /// early exit: c and b read every list once, p reads the first list
+    /// and probes the others once per element of it.
+    pub(crate) fn dram_words(&self, method: Method) -> usize {
+        match method {
+            Method::P => self.first_len + self.first_len * self.probe_words,
+            Method::C | Method::B => self.first_len + self.stream,
+        }
+    }
+}
+
 /// Adaptive per-path selection: estimated words moved by each method
 /// (the paper's "we adaptively choose the intersection method, which
 /// enables higher performance"), constrained by the block's shared-
 /// memory budget — an arm whose resident buffer cannot fit
 /// `shared_words` is never picked.
 pub fn choose(lists: &[&[VertexId]], shared_words: usize) -> Method {
-    let Some((first, rest)) = lists.split_first() else {
-        return Method::C;
-    };
-    let stream: usize = rest.iter().map(|l| l.len()).sum();
-    let probe_words: usize = rest.iter().map(|l| probe_cost(l.len())).sum();
+    ListStats::of(lists).map_or(Method::C, |s| s.pick(shared_words))
+}
+
+/// Whether refining a shared-resident sorted set of `set_len` elements
+/// against one more list of `list_len` probes that list in DRAM once per
+/// set element (p) rather than streaming it against the set (c):
+/// [`pick_method`] with the set as the resident first list.
+fn refine_probes(set_len: usize, list_len: usize, shared_words: usize) -> bool {
+    let probe = probe_cost(list_len);
     pick_method(
-        first.len(),
-        bitmap_words(list_span(first)),
-        stream,
-        probe_words,
+        set_len,
+        bitmap_words(set_len),
+        list_len,
+        probe,
         shared_words,
-    )
+    ) == Method::P
+}
+
+/// DRAM words [`refine`] reads for a set of `set_len` and a list of
+/// `list_len` (the set itself is already resident in shared memory).
+pub(crate) fn refine_words(set_len: usize, list_len: usize, shared_words: usize) -> usize {
+    if refine_probes(set_len, list_len, shared_words) {
+        set_len * probe_cost(list_len)
+    } else {
+        list_len
+    }
+}
+
+/// The refine step of the sibling-group search kernel: keeps the
+/// elements of the shared-resident sorted `set` that also occur in the
+/// sorted `list`, into `out` (sorted). Streams `list` coalesced against
+/// the set with log-cost shared probes, or probes `list` in DRAM once
+/// per set element, whichever [`pick_method`] prices lower.
+pub(crate) fn refine(
+    set: &[VertexId],
+    list: &[VertexId],
+    vwarp: usize,
+    shared_words: usize,
+    ctr: &mut BlockCounters,
+    out: &mut Vec<VertexId>,
+) {
+    out.clear();
+    if set.is_empty() {
+        return;
+    }
+    if refine_probes(set.len(), list.len(), shared_words) {
+        // One uncoalesced binary probe per set element.
+        charge_idle(ctr, set.len(), vwarp);
+        let probe = probe_cost(list.len());
+        for _ in set {
+            ctr.dram_read_random(probe);
+        }
+    } else {
+        ctr.dram_read_coalesced(list.len());
+        charge_idle(ctr, list.len(), vwarp);
+        ctr.shmem_read(list.len() * probe_cost(set.len()));
+    }
+    out.extend_from_slice(set);
+    retain_sorted(out, list);
+    ctr.shmem_write(out.len());
 }
 
 /// O(|V|)-scratch scatter-vector intersection (Algorithm 2, lines 7-17).
@@ -395,7 +515,7 @@ mod tests {
         let (mut c, mut p, mut b, mut s) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         c_intersection(lists, 4, &mut ctr, &mut c);
         p_intersection(lists, 4, &mut ctr, &mut p);
-        b_intersection(lists, 4, SHARED, &mut ctr, &mut b);
+        b_intersection(lists, 4, SHARED, &mut ctr, &mut Vec::new(), &mut b);
         ScatterScratch::new(1000).scatter_vector(lists, &mut ctr, &mut s);
         (c, p, b, s)
     }
@@ -446,7 +566,7 @@ mod tests {
         let b: Vec<u32> = vec![0, 5, 1_000_000];
         let mut ctr = BlockCounters::default();
         let mut out = Vec::new();
-        b_intersection(&[&a, &b], 4, SHARED, &mut ctr, &mut out);
+        b_intersection(&[&a, &b], 4, SHARED, &mut ctr, &mut Vec::new(), &mut out);
         assert_eq!(out, vec![0, 1_000_000]);
         // And the chooser never picks the bitmap arm for that span.
         assert_ne!(choose(&[&a, &b], SHARED), Method::B);
@@ -505,7 +625,7 @@ mod tests {
         let (mut cc, mut cb) = (BlockCounters::default(), BlockCounters::default());
         let (mut outc, mut outb) = (Vec::new(), Vec::new());
         c_intersection(&[&a, &b], 4, &mut cc, &mut outc);
-        b_intersection(&[&a, &b], 4, SHARED, &mut cb, &mut outb);
+        b_intersection(&[&a, &b], 4, SHARED, &mut cb, &mut Vec::new(), &mut outb);
         assert_eq!(outc, outb);
         assert!(
             cb.c.shmem_reads < cc.c.shmem_reads,

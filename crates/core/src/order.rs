@@ -261,6 +261,16 @@ impl MatchOrder {
         })
     }
 
+    /// Host-side replica of the level-0 root filter (Definition 5
+    /// degree dominance plus label compatibility): whether `v` may host
+    /// the root. The signature prefilter is deliberately elided: it is
+    /// pruning-sound (a vertex it rejects hosts no embeddings), so
+    /// seeding such a vertex costs a fruitless expansion but never
+    /// changes the match set.
+    pub fn root_passes(&self, data: &Graph, v: VertexId) -> bool {
+        data.degree_dominates(v, self.q_out[0], self.q_in[0]) && label_ok(data, v, self.q_label[0])
+    }
+
     /// Number of levels (query vertices).
     pub fn len(&self) -> usize {
         self.order.len()

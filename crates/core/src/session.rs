@@ -31,7 +31,7 @@ use cuts_gpu_sim::{
     Arena, ArenaStats, ClassSpec, CostModel, CounterSink, Counters, Device, DeviceError,
 };
 use cuts_graph::components::{extract_component, weakly_connected_components};
-use cuts_graph::{Graph, VertexId};
+use cuts_graph::Graph;
 use cuts_obs::flight::{self, FlightCode};
 use cuts_obs::{Arg, EventKind, Json, ToJson};
 use cuts_trie::{PairTable, Trie};
@@ -39,7 +39,7 @@ use cuts_trie::{PairTable, Trie};
 use crate::cache::{PlanCache, PlanCacheStats};
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::kernels::{expand_range, init_candidates, ExpandParams, SigPrefilter};
+use crate::kernels::{expand_range, init_candidates, tile_count, ExpandParams, SigPrefilter};
 use crate::plan::{DeviceClass, QueryPlan};
 use crate::policy::KernelPolicy;
 use crate::result::MatchResult;
@@ -402,25 +402,6 @@ impl<'d> ExecSession<'d> {
     ) -> Result<MatchResult, EngineError> {
         let plan = self.plan_for(query)?;
         self.run_inner(&plan, data, Some(sink), Some(seed), None)
-    }
-
-    /// Host-side replica of the level-0 root filter (Definition 5 degree
-    /// dominance plus label compatibility) for `query`'s matching order.
-    /// The signature prefilter is deliberately elided: it is
-    /// pruning-sound (a vertex it rejects hosts no embeddings), so
-    /// seeding such a vertex costs a fruitless expansion but never
-    /// changes the match set. Used by the batch-dynamic path to decide
-    /// which dirty vertices are worth re-seeding.
-    pub fn root_passes(
-        &self,
-        data: &Graph,
-        query: &Graph,
-        v: VertexId,
-    ) -> Result<bool, EngineError> {
-        let plan = self.plan_for(query)?;
-        let o = &plan.order;
-        Ok(data.degree_dominates(v, o.q_out[0], o.q_in[0])
-            && crate::order::label_ok(data, v, o.q_label[0]))
     }
 
     /// Materialises `dirty` (the subtrees uprooted by a batch of edge
@@ -821,8 +802,10 @@ impl<'d> ExecSession<'d> {
         let policy = self.resolve_policy(plan, data);
         let profile = data.profile();
 
+        let trace = self.device.trace();
         let (frontier0, start_pos) = match seed {
             None => {
+                let mut lspan = level_span(trace, 0, data.num_vertices());
                 let pre = self.config.signature_prefilter.then(|| SigPrefilter {
                     sigs: &profile.signatures,
                     required: plan.required_root_signature(data.is_labeled()),
@@ -837,6 +820,9 @@ impl<'d> ExecSession<'d> {
                 )?;
                 let lvl0 = trie.seal_level();
                 level_counts[0] = lvl0.len() as u64;
+                if let Some(s) = &mut lspan {
+                    s.arg("paths", Arg::U64(lvl0.len() as u64));
+                }
                 (lvl0, 1)
             }
             Some(host) => {
@@ -855,16 +841,8 @@ impl<'d> ExecSession<'d> {
         let mut pos = start_pos;
         let mut chunked_total: Option<u64> = None;
 
-        let trace = self.device.trace();
         while pos < n && !frontier.is_empty() {
-            let mut lspan = if trace.is_enabled() {
-                let mut s = trace.span(EventKind::Level, &format!("level {pos}"));
-                s.arg("pos", Arg::U64(pos as u64));
-                s.arg("frontier", Arg::U64(frontier.len() as u64));
-                Some(s)
-            } else {
-                None
-            };
+            let mut lspan = level_span(trace, pos, frontier.len());
             let pre_len = trie.table().len();
             let placement = self.placement(&mut rng, &frontier);
             let params = ExpandParams {
@@ -889,7 +867,12 @@ impl<'d> ExecSession<'d> {
                 }
                 Err(DeviceError::BufferOverflow { .. }) => {
                     trie.table().truncate(pre_len);
-                    drop(lspan.take());
+                    // The attempt's children were rolled back: it
+                    // committed no paths. Its depth is retried after
+                    // growth, or walked by the hybrid chunks below.
+                    if let Some(s) = &mut lspan {
+                        s.arg("paths", Arg::U64(0));
+                    }
                     // A budgeted run grows the chain in place first —
                     // appending slabs is cheaper than spilling to the
                     // hybrid walk, and the expansion resumes exactly
@@ -955,6 +938,9 @@ impl<'d> ExecSession<'d> {
                     // Hybrid BFS-DFS (§4.1.2): walk the remaining depths
                     // chunk by chunk inside the capacity we have.
                     used_chunking = true;
+                    if let Some(mut s) = lspan.take() {
+                        s.arg("spilled", Arg::U64(1));
+                    }
                     trace.instant_with(
                         EventKind::Trie,
                         "spill",
@@ -1038,12 +1024,15 @@ impl<'d> ExecSession<'d> {
     }
 
     /// Shuffled frontier placement when configured (§4.1.2: randomising
-    /// partial-path placement fixes id-order load imbalance).
+    /// partial-path placement fixes id-order load imbalance). The search
+    /// kernel places whole tiles of sibling groups, so one index per
+    /// [`crate::kernels::TILE_ENTRIES`] frontier entries is shuffled.
     fn placement(&self, rng: &mut SmallRng, frontier: &Range<usize>) -> Option<Vec<u32>> {
-        if !self.config.randomize_placement || frontier.len() < 2 {
+        let tiles = tile_count(frontier.len());
+        if !self.config.randomize_placement || tiles < 2 {
             return None;
         }
-        let mut p: Vec<u32> = frontier.clone().map(|i| i as u32).collect();
+        let mut p: Vec<u32> = (0..tiles as u32).collect();
         p.shuffle(rng);
         Some(p)
     }
@@ -1073,7 +1062,9 @@ impl<'d> ExecSession<'d> {
             return Ok(frontier.len() as u64);
         }
         let mut total = 0u64;
+        let trace = self.device.trace();
         for chunk in cuts_trie::Chunks::new(frontier, chunk_size) {
+            let mut lspan = level_span(trace, pos, chunk.len());
             let pre_len = trie.table().len();
             let params = ExpandParams {
                 data,
@@ -1089,6 +1080,9 @@ impl<'d> ExecSession<'d> {
                 Ok(()) => {
                     let lvl = trie.seal_level();
                     level_counts[pos] += lvl.len() as u64;
+                    if let Some(mut s) = lspan.take() {
+                        s.arg("paths", Arg::U64(lvl.len() as u64));
+                    }
                     total += self.process_chunks(
                         data,
                         plan,
@@ -1105,10 +1099,14 @@ impl<'d> ExecSession<'d> {
                 }
                 Err(DeviceError::BufferOverflow { .. }) => {
                     trie.table().truncate(pre_len);
+                    if let Some(mut s) = lspan.take() {
+                        s.arg("paths", Arg::U64(0));
+                        s.arg("halved", Arg::U64(1));
+                    }
                     if chunk.len() == 1 {
                         return Err(EngineError::CapacityExhausted { depth: pos });
                     }
-                    self.device.trace().instant_with(
+                    trace.instant_with(
                         EventKind::Trie,
                         "halve",
                         &[
@@ -1156,6 +1154,19 @@ impl<'d> ExecSession<'d> {
             sink(&m);
         }
     }
+}
+
+/// Opens the trace span of one expansion step at depth `pos` (a whole
+/// BFS level or one hybrid chunk) over `frontier` entries; the caller
+/// adds the `paths` it committed. `None` when tracing is off.
+fn level_span(trace: &cuts_obs::Trace, pos: usize, frontier: usize) -> Option<cuts_obs::Span> {
+    if !trace.is_enabled() {
+        return None;
+    }
+    let mut s = trace.span(EventKind::Level, &format!("level {pos}"));
+    s.arg("pos", Arg::U64(pos as u64));
+    s.arg("frontier", Arg::U64(frontier as u64));
+    Some(s)
 }
 
 impl std::fmt::Debug for ExecSession<'_> {

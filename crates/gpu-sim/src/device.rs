@@ -125,8 +125,10 @@ impl Device {
     }
 
     /// Launches a kernel: `num_blocks` thread blocks, each running `f` once
-    /// with its own [`BlockCtx`]. Blocks execute in parallel on the host
-    /// thread pool; per-block counters merge into the device aggregate when
+    /// with its own [`BlockCtx`]. Blocks execute one after another, in
+    /// block-index order, on the calling thread (the vendored `rayon`
+    /// stand-in is sequential); the counters still model them as one
+    /// parallel grid. Per-block counters merge into the launch total when
     /// each block retires. A block may fail (e.g. a buffer overflow); the
     /// first failure is returned after all blocks finish, matching the
     /// "kernel completes, error checked after" CUDA model.

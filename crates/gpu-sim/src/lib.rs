@@ -11,8 +11,11 @@
 //!   budgets scaled down proportionally (32 GB : 40 GB ratio preserved), so
 //!   out-of-memory behaviour reproduces in shape.
 //! * [`Device`] — owns capacity accounting and aggregated counters; its
-//!   [`Device::launch`] runs a grid of thread blocks in parallel on host
-//!   threads (rayon), one closure activation per block.
+//!   [`Device::launch`] runs a grid of thread blocks, one closure
+//!   activation per block. The counters model the blocks as running in
+//!   parallel, but on the host they run one after another, in
+//!   block-index order, on the launching thread (the vendored `rayon`
+//!   stand-in is sequential).
 //! * [`Counters`] — Nsight-Compute-style hardware metrics: DRAM reads and
 //!   writes, shared-memory traffic, atomics, executed instructions, warp
 //!   divergence. §6 of the paper argues its speedup *through* these

@@ -4,12 +4,15 @@
 //! matched, only *how fast*. Every workload here must produce identical
 //! match counts and identical per-level trie counts across all four
 //! `--intersect` arms with the prefilter both on and off, against the
-//! fixed c-intersection run as ground truth.
+//! fixed c-intersection run as ground truth. The sibling-group search
+//! kernel is covered the same way: placement on and off, chunk
+//! boundaries that split sibling runs, and seeded frontiers.
 
 use cuts::graph::datasets::{Dataset, Scale};
 use cuts::graph::generators::{chain, clique, cycle, erdos_renyi, mesh2d, star};
 use cuts::graph::Graph;
 use cuts::prelude::*;
+use cuts::trie::HostTrie;
 use cuts_core::IntersectStrategy;
 
 /// Cyclic labels, enough classes to prune but not empty the result.
@@ -57,6 +60,13 @@ fn queries(labeled: bool) -> Vec<(&'static str, Graph)> {
     qs
 }
 
+const STRATEGIES: [IntersectStrategy; 4] = [
+    IntersectStrategy::Auto,
+    IntersectStrategy::CIntersection,
+    IntersectStrategy::PIntersection,
+    IntersectStrategy::Bitmap,
+];
+
 fn run(data: &Graph, query: &Graph, config: EngineConfig) -> MatchResult {
     let device = Device::new(DeviceConfig::test_small());
     CutsEngine::with_config(&device, config)
@@ -95,12 +105,7 @@ fn all_strategies_and_prefilter_settings_agree() {
                     "{dname}/{qname}: prefilter may only shrink levels"
                 );
             }
-            for strat in [
-                IntersectStrategy::Auto,
-                IntersectStrategy::CIntersection,
-                IntersectStrategy::PIntersection,
-                IntersectStrategy::Bitmap,
-            ] {
+            for strat in STRATEGIES {
                 for prefilter in [false, true] {
                     let got = run(
                         &data,
@@ -143,4 +148,107 @@ fn prefilter_never_prunes_on_unlabeled_regular_graphs_incorrectly() {
     );
     assert_eq!(on.num_matches, off.num_matches);
     assert_eq!(on.level_counts, off.level_counts);
+}
+
+/// The search kernel expands sibling groups (runs of frontier entries
+/// with one parent). How those runs are laid out must not matter:
+/// whether placement shuffles the tiles they are dealt in (under two
+/// placement seeds), or whether a tight budget's hybrid chunks cut runs
+/// in two. Every setting must match the roomy, unshuffled fixed-c run
+/// exactly, under all four strategies.
+#[test]
+fn sibling_groups_agree_across_placement_and_chunking() {
+    // 4096 device words leave a trie of about 1.8k entries; an odd chunk
+    // size makes chunk boundaries fall inside sibling runs.
+    let tight = DeviceConfig::test_small().with_global_mem_words(1 << 12);
+    let mut chunked_runs = 0;
+    for (dname, data) in data_graphs() {
+        for (qname, query) in queries(data.is_labeled()) {
+            let base = EngineConfig::default().with_randomize_placement(false);
+            let want = run(
+                &data,
+                &query,
+                base.clone()
+                    .with_intersect(IntersectStrategy::CIntersection),
+            );
+            for strat in STRATEGIES {
+                for placement in [false, true] {
+                    for seed in [0xCBF5, 7] {
+                        let config = EngineConfig {
+                            seed,
+                            ..base
+                                .clone()
+                                .with_intersect(strat)
+                                .with_randomize_placement(placement)
+                        };
+                        let got = run(&data, &query, config.clone());
+                        let how = format!("{strat:?}/placement={placement}/seed={seed}");
+                        assert_eq!(got.num_matches, want.num_matches, "{dname}/{qname}: {how}");
+                        assert_eq!(
+                            got.level_counts, want.level_counts,
+                            "{dname}/{qname}: {how} level counts"
+                        );
+
+                        let device = Device::new(tight.clone());
+                        let got = CutsEngine::with_config(&device, config.with_chunk_size(7))
+                            .run(&data, &query)
+                            .unwrap();
+                        chunked_runs += usize::from(got.used_chunking);
+                        assert_eq!(
+                            got.num_matches, want.num_matches,
+                            "{dname}/{qname}: {how}, tight budget"
+                        );
+                        assert_eq!(
+                            got.level_counts, want.level_counts,
+                            "{dname}/{qname}: {how}, tight budget level counts"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(chunked_runs > 0, "the tight budget must force chunking");
+}
+
+/// Seeded entry points run the same kernel from a loaded frontier: a
+/// depth-1 seed of every vertex that may host the root, deepened once
+/// with `expand_seed_once`, must complete to the unseeded count under
+/// all four strategies, and the deepened frontier must be identical
+/// across them.
+#[test]
+fn seeded_runs_agree_across_strategies() {
+    for (dname, data) in data_graphs() {
+        for (qname, query) in queries(data.is_labeled()) {
+            let want = run(&data, &query, EngineConfig::default()).num_matches;
+            let mut deepened: Option<Vec<Vec<u32>>> = None;
+            for strat in STRATEGIES {
+                let device = Device::new(DeviceConfig::test_small());
+                let session =
+                    ExecSession::new(&device, EngineConfig::default().with_intersect(strat));
+                let order = &session.plan_for(&query).unwrap().order;
+                let roots: Vec<Vec<u32>> = (0..data.num_vertices() as u32)
+                    .filter(|&v| order.root_passes(&data, v))
+                    .map(|v| vec![v])
+                    .collect();
+                let roots = HostTrie::from_flat_paths(&roots);
+                let from_roots = session.run_seeded(&data, &query, &roots).unwrap();
+                assert_eq!(
+                    from_roots.num_matches, want,
+                    "{dname}/{qname}: {strat:?} roots"
+                );
+                let deeper = session.expand_seed_once(&data, &query, &roots).unwrap();
+                let from_deeper = session.run_seeded(&data, &query, &deeper).unwrap();
+                assert_eq!(
+                    from_deeper.num_matches, want,
+                    "{dname}/{qname}: {strat:?} depth 2"
+                );
+                let mut paths = deeper.paths_at_level(1);
+                paths.sort_unstable();
+                match &deepened {
+                    None => deepened = Some(paths),
+                    Some(first) => assert_eq!(&paths, first, "{dname}/{qname}: {strat:?} frontier"),
+                }
+            }
+        }
+    }
 }
