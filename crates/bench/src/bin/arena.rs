@@ -15,8 +15,8 @@
 //! `--quick` (equivalently `CUTS_QUICK=1`) keeps only the first cases so
 //! the CI smoke step stays fast. The JSON also carries
 //! `warm_sched_alloc_delta`: device-allocator calls made by a warmed-up
-//! scheduler stream, asserted to be exactly zero — the CI zero-alloc
-//! gate reads this field.
+//! serving stream (one rank, two devices, two lanes each), asserted to
+//! be exactly zero — the CI zero-alloc gate reads this field.
 
 use std::time::Instant;
 
@@ -168,7 +168,7 @@ fn best_of(reps: usize, mut f: impl FnMut() -> (u64, f64)) -> (u64, f64) {
     best
 }
 
-/// Warmed-up scheduler stream: after a full warmup pass drains, a second
+/// Warmed-up serving stream: after a full warmup pass drains, a second
 /// pass over the same job mix must make zero device-allocator calls.
 fn warm_sched_alloc_delta() -> u64 {
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -185,30 +185,38 @@ fn warm_sched_alloc_delta() -> u64 {
         Job::new(mesh, chain4),
     ];
 
-    let scheduler = Scheduler::builder().lanes(2).build().unwrap();
+    let tier = ServeTier::new(
+        ServeConfig::builder()
+            .lanes(2)
+            .devices_per_rank(2)
+            .build()
+            .unwrap(),
+    );
+    let alloc_calls = || -> u64 {
+        tier.rank_devices()
+            .iter()
+            .flatten()
+            .map(|d| d.alloc_calls())
+            .sum()
+    };
     let carved = AtomicU64::new(0);
-    scheduler
-        .run(|h| {
+    tier.run(|h| {
+        for job in jobs.iter().cloned() {
+            h.submit_wait(job);
+        }
+        while h.pending() > 0 || h.inflight() > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        carved.store(alloc_calls(), Ordering::SeqCst);
+        for _ in 0..3 {
             for job in jobs.iter().cloned() {
                 h.submit_wait(job);
             }
-            while h.pending() > 0 || h.inflight() > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            carved.store(
-                scheduler.devices().iter().map(|d| d.alloc_calls()).sum(),
-                Ordering::SeqCst,
-            );
-            for _ in 0..3 {
-                for job in jobs.iter().cloned() {
-                    h.submit_wait(job);
-                }
-            }
-            Ok(())
-        })
-        .unwrap();
-    let after: u64 = scheduler.devices().iter().map(|d| d.alloc_calls()).sum();
-    after - carved.load(Ordering::SeqCst)
+        }
+        Ok(())
+    })
+    .unwrap();
+    alloc_calls() - carved.load(Ordering::SeqCst)
 }
 
 fn main() {
@@ -248,7 +256,7 @@ fn main() {
     }
 
     let delta = warm_sched_alloc_delta();
-    println!("  warm scheduler stream device-alloc delta: {delta}");
+    println!("  warm serving stream device-alloc delta: {delta}");
 
     let g = geomean(&ratios).unwrap_or(0.0);
     let out = Json::obj([
@@ -260,9 +268,6 @@ fn main() {
     ]);
     std::fs::write("BENCH_arena.json", out.render()).expect("write BENCH_arena.json");
     println!("  wrote BENCH_arena.json (geomean copy/chain {g:.2}x, gate >= 1.15x)");
-    assert_eq!(
-        delta, 0,
-        "warm scheduler stream touched the device allocator"
-    );
+    assert_eq!(delta, 0, "warm serving stream touched the device allocator");
     assert!(g >= 1.15, "copy/chain ratio {g:.2}x below the 1.15x gate");
 }

@@ -1,14 +1,14 @@
 //! Multi-query serving throughput: the bundled job manifest replayed
-//! through a serial loop and through [`cuts_core::sched::Scheduler`] at
-//! 1, 2, and 4 lanes on one simulated device, with per-job results
+//! through a serial loop and through a one-rank [`cuts_core::serve::ServeTier`]
+//! at 1, 2, and 4 lanes on one simulated device, with per-job results
 //! verified byte-identical across all runs. Emits `BENCH_throughput.json`.
 //! Absolute jobs/s is the headline number; the lane-speedup *ratio* is
 //! advisory only — arena chaining made serial execution so cheap that
 //! wall time is dominated by job-arrival pacing, which lanes can only
 //! partially overlap, so the ratio sits well below the pre-arena ~3.5×.
 //!
-//! A second section replays the same stream through the multi-rank
-//! [`cuts_core::serve::ServeTier`] at 1, 2, and 4 ranks (one lane each,
+//! A second section replays the same stream through the tier at 1, 2,
+//! and 4 ranks (one lane each,
 //! so the sweep isolates rank scaling), at a higher pacing factor so
 //! simulated device time dominates host compute even on a single-core
 //! runner — the regime a real multi-GPU deployment lives in. Unlike the
@@ -49,17 +49,19 @@ fn manifest_jobs(quick: bool) -> Vec<Job> {
     jobs
 }
 
-fn scheduler_for(lanes: usize) -> Scheduler {
-    Scheduler::builder()
-        .lanes(lanes)
-        .pacing(PACING)
-        .build()
-        .expect("valid scheduler config")
+fn tier_for(lanes: usize) -> ServeTier {
+    ServeTier::new(
+        ServeConfig::builder()
+            .lanes(lanes)
+            .pacing(PACING)
+            .build()
+            .expect("valid serve config"),
+    )
 }
 
-fn verify_identical(serial: &[JobOutcome], sched: &[JobOutcome], lanes: usize) {
-    assert_eq!(serial.len(), sched.len());
-    for (a, b) in serial.iter().zip(sched) {
+fn verify_identical(serial: &[JobOutcome], served: &[JobOutcome], lanes: usize) {
+    assert_eq!(serial.len(), served.len());
+    for (a, b) in serial.iter().zip(served) {
         let same = match (&a.result, &b.result) {
             (Ok(x), Ok(y)) => x.canonical_bytes() == y.canonical_bytes(),
             (Err(_), Err(_)) => true,
@@ -82,9 +84,7 @@ fn main() {
         jobs.len()
     );
 
-    let serial = scheduler_for(1)
-        .run_serial(&jobs)
-        .expect("serial run succeeds");
+    let serial = tier_for(1).run_serial(&jobs).expect("serial run succeeds");
     println!(
         "  serial     {:>8.2} jobs/s  ({:.1} ms wall)",
         serial.jobs_per_sec(),
@@ -94,15 +94,9 @@ fn main() {
     let mut runs: Vec<Json> = Vec::new();
     let mut speedup_4 = 0.0;
     for lanes in [1usize, 2, 4] {
-        let scheduler = scheduler_for(lanes);
-        let report = scheduler
-            .run(|h| {
-                for job in jobs.iter().cloned() {
-                    h.submit_wait(job);
-                }
-                Ok(())
-            })
-            .expect("scheduled run succeeds");
+        let report = tier_for(lanes)
+            .run_stream(&jobs)
+            .expect("served run succeeds");
         verify_identical(&serial.outcomes, &report.outcomes, lanes);
         let speedup = report.jobs_per_sec() / serial.jobs_per_sec();
         if lanes == 4 {

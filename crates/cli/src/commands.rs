@@ -587,17 +587,8 @@ fn run_serve(opts: &ServeOpts) -> Result<(), CmdError> {
         println!("{}", root.render());
     } else {
         let fmt_pct = |r: &ServeReport, p: f64| {
-            let mut v: Vec<f64> = r
-                .outcomes
-                .iter()
-                .map(|o| o.queue_millis + o.exec_millis)
-                .collect();
-            if v.is_empty() {
-                return "-".to_string();
-            }
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let idx = ((p / 100.0) * (v.len() - 1) as f64).round() as usize;
-            format!("{:.3}", v[idx])
+            r.latency_percentile(p)
+                .map_or_else(|| "-".to_string(), |v| format!("{v:.3}"))
         };
         println!(
             "serial:    {:>8.2} jobs/s  ({:.3} ms wall)",
@@ -617,8 +608,8 @@ fn run_serve(opts: &ServeOpts) -> Result<(), CmdError> {
         );
         let s = &report.stats;
         println!(
-            "stats:     {} completed / {} failed; {} migrated, {} readmitted",
-            s.completed, s.failed, s.migrated, s.readmitted
+            "stats:     {} completed / {} failed; {} migrated, {} readmitted, {} deferred",
+            s.completed, s.failed, s.migrated, s.readmitted, s.deferred
         );
         if !s.lost_ranks.is_empty() {
             println!(
@@ -891,7 +882,7 @@ fn run_top(path: &str) -> Result<(), CmdError> {
     let mut rows = 0usize;
     println!(
         "{:>8} {:>10} {:>6} {:>7} {:>7}  per-class ok/fail, queue/exec p99 us",
-        "finished", "wall ms", "defer", "denied", "steals"
+        "finished", "wall ms", "defer", "denied", "migrate"
     );
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -930,7 +921,7 @@ fn run_top(path: &str) -> Result<(), CmdError> {
             wall,
             u("deferrals"),
             u("growth_denials"),
-            u("steals")
+            u("migrations")
         );
         rows += 1;
     }
@@ -1041,7 +1032,6 @@ fn metrics_snapshot(events: &[Event], matches: u64) -> MetricsSnapshot {
     let mut by_kind: BTreeMap<&str, u64> = BTreeMap::new();
     // name -> (count, micros, instructions, dram reads)
     let mut kernels: BTreeMap<String, (u64, u64, u64, u64)> = BTreeMap::new();
-    let (mut pool_hits, mut pool_misses) = (0u64, 0u64);
     let (mut arena_carves, mut arena_acquires, mut arena_releases) = (0u64, 0u64, 0u64);
     let (mut arena_grows, mut arena_high_water) = (0u64, 0u64);
     for e in events {
@@ -1055,8 +1045,6 @@ fn metrics_snapshot(events: &[Event], matches: u64) -> MetricsSnapshot {
                 k.2 += c.instructions;
                 k.3 += c.dram_reads;
             }
-            EventKind::Pool if e.name == "hit" => pool_hits += 1,
-            EventKind::Pool if e.name == "miss" => pool_misses += 1,
             EventKind::Arena => match e.name.as_str() {
                 "carve" => arena_carves += 1,
                 "acquire" => arena_acquires += 1,
@@ -1087,16 +1075,6 @@ fn metrics_snapshot(events: &[Event], matches: u64) -> MetricsSnapshot {
             *dram_reads as f64,
         );
     }
-    snap.push_help(
-        "cuts_pool_hits_total",
-        pool_hits as f64,
-        "buffer-pool acquires served by recycling",
-    );
-    snap.push_help(
-        "cuts_pool_misses_total",
-        pool_misses as f64,
-        "buffer-pool acquires that hit the device allocator",
-    );
     snap.push_help(
         "cuts_arena_carves_total",
         arena_carves as f64,
@@ -1151,7 +1129,7 @@ fn profile_report(events: &[Event]) -> String {
     let mut levels: BTreeMap<String, (u64, u64, u64)> = BTreeMap::new();
     let mut census: BTreeMap<&str, u64> = BTreeMap::new();
     let mut ranks = std::collections::BTreeSet::new();
-    // scheduler lifecycle: event name -> count, plus queue/exec time sums
+    // serving lifecycle: event name -> count, plus queue/exec time sums
     let mut job_counts: BTreeMap<String, u64> = BTreeMap::new();
     let (mut queue_ms, mut exec_ms) = (0.0f64, 0.0f64);
     // plan-time kernel policy: level pos -> (method, chi, est first, times)
@@ -1252,7 +1230,7 @@ fn profile_report(events: &[Event]) -> String {
         );
     }
     if !job_counts.is_empty() {
-        let _ = writeln!(out, "  scheduler jobs:");
+        let _ = writeln!(out, "  serving jobs:");
         for (name, n) in &job_counts {
             let _ = writeln!(out, "    {name:<16} {n:>6}");
         }

@@ -1,16 +1,24 @@
 //! The multi-tenant distributed serving tier: one entry point that
 //! routes a stream of [`Job`]s across N simulated multi-GPU ranks.
 //!
-//! Everything below `serve` handles one scale axis at a time: the
-//! [`crate::sched`] scheduler multiplexes many queries over the lanes of
-//! one node, and `cuts-dist` scales one query across ranks with
-//! Algorithm-3 chunk donation. [`ServeTier`] fuses them. Each rank hosts
-//! its own [`ExecSession`]s, trie arena, and lane pool; a shared router
-//! places every submitted job on the rank whose slab-unit memory ledger
-//! has the most headroom; and the paper's donation protocol is
-//! generalised from intra-query chunks to **whole-job migration**: an
-//! idle rank claims the back half of the most-loaded peer's queue, with
-//! every hand-off recorded as a [`WorkLedger`] transfer.
+//! [`ServeTier`] is the one executor for job streams, from a single
+//! device with one lane up to many ranks. `cuts-dist` scales one query
+//! across ranks with Algorithm-3 chunk donation; the tier applies the
+//! same idea to many queries. Each rank hosts its own [`ExecSession`]s,
+//! trie arena, and lane pool; a shared router places every submitted
+//! job on the rank whose slab-unit memory ledger has the most headroom;
+//! and the paper's donation protocol is generalised from intra-query
+//! chunks to **whole-job migration**: an idle rank claims the back half
+//! of the most-loaded peer's queue, with every hand-off recorded as a
+//! [`WorkLedger`] transfer.
+//!
+//! Admission is claim-by-score: each lane takes the best-scored entry
+//! of its rank's inbox whose §5 reservation fits its device's remaining
+//! budget (see [`crate::sched`] for the score and the aged head-of-line
+//! rule). A pass that finds queued work but takes none counts one
+//! deferral ([`ServeStats::deferred`]); the lane then waits for a
+//! completion to free memory, so an oversized job is deferred, never
+//! failed.
 //!
 //! Fault tolerance reuses the distributed runtime's machinery, now
 //! hosted in this crate: jobs are registered in a [`WorkLedger`] before
@@ -26,12 +34,9 @@
 //! dispatch score and its queue-latency histogram entry measures the
 //! caller-visible wait.
 //!
-//! This module is the **only** public serving entry point:
 //! [`ServeConfig::builder`] configures ranks × devices × lanes, the
-//! fault plan, and trace/metrics sinks in one place, and
-//! `cuts serve --ranks N` drives it from the CLI. The historical
-//! `run_distributed{,_traced,_observed}` triplet in `cuts-dist` remains
-//! only as deprecated shims.
+//! fault plan, and trace/metrics sinks in one place, and `cuts serve`
+//! drives it from the CLI.
 
 #![deny(missing_docs)]
 
@@ -51,7 +56,7 @@ use crate::fault::{CrashKind, FaultInjector, FaultPlan};
 use crate::ledger::{AliveBoard, WorkLedger};
 use crate::plan::QueryPlan;
 use crate::sched::{
-    dispatch_score, job_entries_for, Job, JobId, JobOutcome, SloReport, StatsSink, Telemetry,
+    job_entries_for, pick_claim, ClaimView, Job, JobId, JobOutcome, SloReport, StatsSink, Telemetry,
 };
 use crate::session::{BudgetedRunError, ExecSession, GrantAll, GrowthLedger};
 
@@ -265,8 +270,11 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Always-on serving telemetry switch (default **on**); see
-    /// [`crate::sched::SchedulerBuilder::telemetry`].
+    /// Always-on serving telemetry switch (default **on**). When off,
+    /// every registry handle degenerates to a no-op — the zero-cost
+    /// disabled path the `obs` overhead bench pins down — and
+    /// [`ServeReport::telemetry`] / [`ServeReport::slo`] come back empty.
+    /// The flight recorder is independent of this switch.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self
@@ -372,6 +380,9 @@ pub struct ServeStats {
     pub migrated: u64,
     /// Jobs re-admitted from a dead rank's ledger entries.
     pub readmitted: u64,
+    /// Claim passes that found queued work but took none: nothing fit
+    /// the device's remaining budget, or an aged head did not.
+    pub deferred: u64,
     /// Ranks that died mid-stream.
     pub lost_ranks: Vec<usize>,
     /// Jobs committed by each rank.
@@ -393,6 +404,7 @@ impl ToJson for ServeStats {
             ("failed", Json::U64(self.failed)),
             ("migrated", Json::U64(self.migrated)),
             ("readmitted", Json::U64(self.readmitted)),
+            ("deferred", Json::U64(self.deferred)),
             (
                 "lost_ranks",
                 Json::arr(self.lost_ranks.iter().map(|&r| r as u64)),
@@ -446,6 +458,24 @@ impl ServeReport {
         }
         self.stats.completed as f64 / (self.wall_millis / 1e3)
     }
+
+    /// The `p`-th percentile (0–100) of total job latency
+    /// (queue + execution), over completed jobs. `None` when nothing
+    /// completed.
+    pub fn latency_percentile(&self, p: f64) -> Option<f64> {
+        let mut lat: Vec<f64> = self
+            .outcomes
+            .iter()
+            .filter(|o| o.result.is_ok())
+            .map(|o| o.queue_millis + o.exec_millis)
+            .collect();
+        if lat.is_empty() {
+            return None;
+        }
+        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let idx = ((p / 100.0) * (lat.len() - 1) as f64).round() as usize;
+        Some(lat[idx.min(lat.len() - 1)])
+    }
 }
 
 impl ToJson for ServeReport {
@@ -453,6 +483,14 @@ impl ToJson for ServeReport {
         Json::obj([
             ("wall_millis", Json::F64(self.wall_millis)),
             ("jobs_per_sec", Json::F64(self.jobs_per_sec())),
+            (
+                "p50_millis",
+                self.latency_percentile(50.0).map_or(Json::Null, Json::F64),
+            ),
+            (
+                "p99_millis",
+                self.latency_percentile(99.0).map_or(Json::Null, Json::F64),
+            ),
             ("stats", self.stats.to_json()),
             ("slo", self.slo.to_json()),
             (
@@ -496,8 +534,10 @@ struct ServeDev<'e> {
 }
 
 impl ServeDev<'_> {
-    /// Atomically reserves `words` iff the budget still has room (same
-    /// CAS ledger as the scheduler's `DevState`).
+    /// Atomically reserves `words` iff the budget still has room; the
+    /// peak watermark moves with every success. This is the only way
+    /// reservations grow, so `peak_reserved <= budget_words` holds for
+    /// the whole run.
     fn try_reserve(&self, words: usize) -> bool {
         let mut cur = self.reserved.load(Ordering::Relaxed);
         loop {
@@ -569,13 +609,15 @@ struct ServeShared<'e, 't> {
     space: Condvar,
     outcomes: Mutex<Vec<JobOutcome>>,
     submitted: AtomicU64,
+    /// Jobs claimed by a lane and not yet finished.
+    inflight: AtomicUsize,
+    deferred: AtomicU64,
     first_failure: Mutex<Option<DistError>>,
     /// Reservation estimates keyed by (data graph identity, query key):
     /// admission is serial, so the graph walk behind the estimate runs
     /// once per distinct pair, not once per job.
     sizing_memo: Mutex<HashMap<(usize, u64), usize>>,
     telem: Telemetry,
-    migrations: Counter,
     readmissions: Counter,
     ranks_lost: Counter,
 }
@@ -785,7 +827,7 @@ impl<'e> ServeShared<'e, '_> {
                 continue;
             }
             any = true;
-            self.migrations.inc();
+            self.telem.migrations.inc();
             flight::record(FlightCode::JobMigrate, q.id, me as u64);
             self.trace.instant_with(
                 EventKind::Donation,
@@ -936,6 +978,13 @@ impl ServeHandle<'_, '_, '_> {
         self.shared.gate.lock().unwrap().queued
     }
 
+    /// Jobs claimed by a lane and not yet finished. A job is counted here
+    /// before it leaves [`ServeHandle::pending`], so both reading zero
+    /// means the stream so far has drained.
+    pub fn inflight(&self) -> usize {
+        self.shared.inflight.load(Ordering::Acquire)
+    }
+
     /// Ranks still alive.
     pub fn live_ranks(&self) -> usize {
         self.shared.alive.live_count()
@@ -1023,8 +1072,9 @@ impl ServeTier {
         &self.config
     }
 
-    /// The per-rank device matrix (watch-session plumbing).
-    pub(crate) fn rank_devices(&self) -> &[Vec<Device>] {
+    /// The simulated devices, `rank_devices()[r][d]` being rank `r`'s
+    /// `d`-th device (e.g. to read [`Device::alloc_calls`]).
+    pub fn rank_devices(&self) -> &[Vec<Device>] {
         &self.rank_devices
     }
 
@@ -1084,12 +1134,7 @@ impl ServeTier {
             })
             .collect();
         let resolved = cfg.fault_plan.resolve(cfg.ranks);
-        let telem = Telemetry::with(cfg.telemetry, cfg.stats_every, cfg.stats_sink.clone());
-        let migrations = telem.reg.counter(
-            "cuts_serve_migrations_total",
-            &[],
-            "Whole-job migrations between ranks",
-        );
+        let telem = Telemetry::new(cfg.telemetry, cfg.stats_every, cfg.stats_sink.clone());
         let readmissions = telem.reg.counter(
             "cuts_serve_readmissions_total",
             &[],
@@ -1118,10 +1163,11 @@ impl ServeTier {
             space: Condvar::new(),
             outcomes: Mutex::new(Vec::new()),
             submitted: AtomicU64::new(0),
+            inflight: AtomicUsize::new(0),
+            deferred: AtomicU64::new(0),
             first_failure: Mutex::new(None),
             sizing_memo: Mutex::new(HashMap::new()),
             telem,
-            migrations,
             readmissions,
             ranks_lost,
         };
@@ -1211,8 +1257,9 @@ impl ServeTier {
             submitted: shared.submitted.load(Ordering::Relaxed),
             completed,
             failed,
-            migrated: shared.migrations.get(),
+            migrated: shared.telem.migrations.get(),
             readmitted: shared.readmissions.get(),
+            deferred: shared.deferred.load(Ordering::Relaxed),
             lost_ranks: (0..cfg.ranks)
                 .filter(|&r| !shared.alive.is_alive(r))
                 .collect(),
@@ -1272,7 +1319,7 @@ impl ServeTier {
         );
         session.seed_plans(&cfg.warm_plans);
         session.prepare_trie_arena().map_err(CutsError::from)?;
-        let telem = Telemetry::with(cfg.telemetry, cfg.stats_every, cfg.stats_sink.clone());
+        let telem = Telemetry::new(cfg.telemetry, cfg.stats_every, cfg.stats_sink.clone());
         flight::record(FlightCode::RunStart, 1, 1);
         let start = Instant::now();
         let mut outcomes = Vec::with_capacity(jobs.len());
@@ -1321,7 +1368,6 @@ impl ServeTier {
                 queue_millis: queued,
                 exec_millis: exec_start.elapsed().as_secs_f64() * 1e3,
                 trie_entries: entries,
-                stolen: false,
                 result,
             };
             telem.on_finish(Telemetry::class_of(job), job.deadline, &outcome);
@@ -1355,35 +1401,39 @@ impl ServeTier {
 // ---------------------------------------------------------------------
 // Lane execution.
 
-/// Claims the best-scored inbox entry whose reservation fits `dev`'s
-/// remaining budget right now.
+/// One claim pass for a lane of `dev`: takes the inbox entry
+/// `pick_claim` chooses against the device's free budget. A pass that
+/// finds queued work but takes none counts one deferral.
 fn claim(shared: &ServeShared<'_, '_>, r: usize, dev: &ServeDev<'_>) -> Option<Queued> {
     let rank = &shared.ranks[r];
     let now = Instant::now();
     let mut inbox = rank.inbox.lock().unwrap();
-    let reserved = dev.reserved.load(Ordering::Relaxed);
-    let mut best: Option<(usize, f64)> = None;
-    for (i, q) in inbox.iter().enumerate() {
-        if reserved + q.words > dev.budget_words {
-            continue;
-        }
-        let s = dispatch_score(
-            q.seed.job.priority,
-            q.seed.job.deadline,
-            q.seed.submitted_at,
-            now,
-            shared.cfg.aging,
-        );
-        if best.is_none_or(|(_, bs)| s > bs) {
-            best = Some((i, s));
-        }
+    if inbox.is_empty() {
+        return None;
     }
-    let (i, _) = best?;
+    let free = dev
+        .budget_words
+        .saturating_sub(dev.reserved.load(Ordering::Relaxed));
+    let views = inbox.iter().map(|q| ClaimView {
+        priority: q.seed.job.priority,
+        deadline: q.seed.job.deadline,
+        submitted_at: q.seed.submitted_at,
+        words: q.words,
+    });
+    let Some(i) = pick_claim(views, free, now, shared.cfg.aging) else {
+        shared.deferred.fetch_add(1, Ordering::Relaxed);
+        shared.telem.deferrals.inc();
+        flight::record(FlightCode::JobDefer, r as u64, inbox.len() as u64);
+        return None;
+    };
     let q = inbox.swap_remove(i);
     rank.queued_words.fetch_sub(
         q.words.min(rank.queued_words.load(Ordering::Relaxed)),
         Ordering::Relaxed,
     );
+    // Counted before the caller releases the gate slot, so `pending` and
+    // `inflight` never both read zero while this job is in transit.
+    shared.inflight.fetch_add(1, Ordering::AcqRel);
     Some(q)
 }
 
@@ -1426,13 +1476,14 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
             if shared.closed_and_complete() {
                 return;
             }
-            // Idle: first try whole-job migration from a loaded peer,
-            // then re-admission of a dead rank's jobs, then sleep.
+            // Nothing claimable: first try whole-job migration from a
+            // loaded peer, then re-admission of a dead rank's jobs, then
+            // sleep until new work arrives or a peer frees memory.
             if shared.try_migrate(r) || shared.try_readmit(r) {
                 continue;
             }
             let inbox = rank.inbox.lock().unwrap();
-            if inbox.is_empty() && !rank.dead.load(Ordering::Acquire) {
+            if !rank.dead.load(Ordering::Acquire) {
                 let _ = rank
                     .work
                     .wait_timeout(inbox, Duration::from_millis(1))
@@ -1462,9 +1513,12 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
                     std::thread::sleep(Duration::from_micros(100));
                 }
                 flight::record(FlightCode::JobAdmit, q.id, global_device as u64);
-                // The same growth-on-undershoot sequence the scheduler's
-                // lanes take, so per-job results stay byte-identical at
-                // any ranks × lanes (see `crate::sched::lane_loop`).
+                // The §5 estimate can undershoot: the chain then grows in
+                // place, each appended segment charged to this device's
+                // ledger. Only when the ledger has no room does the job
+                // release everything and rerun at the denied target —
+                // the same doubling sequence `run_serial` takes, so
+                // per-job results stay byte-identical at any shape.
                 let result = loop {
                     let ledger = ServeLaneLedger {
                         dev,
@@ -1511,6 +1565,13 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
                     trie_entries = entries;
                 }
                 dev.reserved.fetch_sub(reserve_words, Ordering::AcqRel);
+                // Wake lanes holding back work this release may now fit.
+                {
+                    let inbox = rank.inbox.lock().unwrap();
+                    if !inbox.is_empty() {
+                        rank.work.notify_all();
+                    }
+                }
                 outcome_result = result;
             }
         }
@@ -1522,17 +1583,18 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
             queue_millis,
             exec_millis: exec_start.elapsed().as_secs_f64() * 1e3,
             trie_entries,
-            stolen: false,
             result: outcome_result,
         };
         shared.finish(r, &q, outcome);
+        shared.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuts_graph::generators::{clique, erdos_renyi, mesh2d};
+    use cuts_graph::generators::{chain, clique, erdos_renyi, mesh2d, star};
+    use cuts_graph::Graph;
 
     fn small_tier(ranks: usize, lanes: usize) -> ServeTier {
         ServeTier::new(
@@ -1688,5 +1750,347 @@ mod tests {
             })
             .unwrap();
         assert_eq!(report.stats.completed, 2);
+    }
+
+    #[test]
+    fn drains_a_stream_and_reports_outcomes() {
+        let trace = Trace::enabled();
+        let tier = ServeTier::new(
+            ServeConfig::builder()
+                .lanes(2)
+                .device_config(DeviceConfig::test_small())
+                .trace(trace.clone())
+                .build()
+                .unwrap(),
+        );
+        let data = Arc::new(erdos_renyi(30, 90, 7));
+        let q3 = Arc::new(clique(3));
+        let q2 = Arc::new(clique(2));
+        let report = tier
+            .run(|h| {
+                for i in 0..6 {
+                    let q = if i % 2 == 0 { q3.clone() } else { q2.clone() };
+                    h.submit_wait(Job::new(data.clone(), q));
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(report.stats.submitted, 6);
+        assert_eq!(report.stats.completed, 6);
+        assert_eq!(report.outcomes.len(), 6);
+        // Outcomes come back in submission order.
+        for (i, o) in report.outcomes.iter().enumerate() {
+            assert_eq!(o.id, JobId(i as u64));
+            assert!(o.result.is_ok());
+        }
+        // Two distinct queries -> exactly two plan builds; sizing and
+        // execution passes all hit the cache thereafter.
+        let plans: Vec<String> = trace
+            .journal()
+            .unwrap()
+            .snapshot_sorted()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::Plan)
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(plans.iter().filter(|n| *n == "miss").count(), 2);
+        assert!(plans.iter().filter(|n| *n == "hit").count() >= 4);
+        assert!(report.jobs_per_sec() > 0.0);
+        assert!(report.latency_percentile(50.0).is_some());
+    }
+
+    #[test]
+    fn unplannable_jobs_fail_individually() {
+        let tier = small_tier(1, 1);
+        let data = Arc::new(clique(4));
+        let disconnected = Arc::new(Graph::undirected(4, &[(0, 1), (2, 3)]));
+        let fine = Arc::new(clique(3));
+        let report = tier
+            .run(|h| {
+                h.submit_wait(Job::new(data.clone(), disconnected.clone()));
+                h.submit_wait(Job::new(data.clone(), fine.clone()));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(report.stats.completed, 1);
+        assert_eq!(report.stats.failed, 1);
+        assert!(matches!(
+            report.outcomes[0].result,
+            Err(CutsError::Engine(crate::EngineError::DisconnectedQuery))
+        ));
+        assert!(report.outcomes[1].result.is_ok());
+    }
+
+    #[test]
+    fn busy_backpressure_is_typed() {
+        let tier = ServeTier::new(
+            ServeConfig::builder()
+                .lanes(1)
+                .device_config(DeviceConfig::test_small())
+                .queue_capacity(1)
+                .pacing(200.0)
+                .build()
+                .unwrap(),
+        );
+        let data = Arc::new(erdos_renyi(30, 90, 7));
+        let query = Arc::new(clique(3));
+        let mut third = None;
+        let report = tier
+            .run(|h| {
+                h.submit(Job::new(data.clone(), query.clone())).unwrap();
+                // Wait until the lone lane has claimed the first job.
+                while h.pending() > 0 {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                // The lane paces the first job, so the second stays
+                // queued and fills the gate: a third must bounce.
+                h.submit(Job::new(data.clone(), query.clone())).unwrap();
+                third = Some(h.submit(Job::new(data.clone(), query.clone())));
+                Ok(())
+            })
+            .unwrap();
+        assert!(
+            matches!(third, Some(Err(SchedError::Busy { capacity: 1 }))),
+            "expected Busy, got {third:?}"
+        );
+        assert_eq!(report.stats.submitted, 2);
+        assert_eq!(report.stats.completed, 2);
+    }
+
+    /// Oracle check against the outcome list: the histogram must report
+    /// the class quantile within one log2 sub-bucket (≤ 25% relative
+    /// error) above the exact value — the acceptance bound.
+    fn assert_slo_brackets_outcomes(report: &ServeReport, class: &str) {
+        let slo = report.slo.class(class).expect("class accounted");
+        let mut queue: Vec<u64> = Vec::new();
+        let mut exec: Vec<u64> = Vec::new();
+        for o in &report.outcomes {
+            queue.push((o.queue_millis * 1e3) as u64);
+            exec.push((o.exec_millis * 1e3) as u64);
+        }
+        queue.sort_unstable();
+        exec.sort_unstable();
+        let oracle = |sorted: &[u64], q: f64| {
+            let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+            sorted[rank - 1]
+        };
+        for (i, q) in [(0usize, 0.50), (1, 0.95), (2, 0.99)] {
+            for (reported, sorted) in [(slo.queue_us[i], &queue), (slo.exec_us[i], &exec)] {
+                let exact = oracle(sorted, q);
+                assert!(reported >= exact, "q={q}: {reported} < exact {exact}");
+                assert!(
+                    (reported - exact) as f64 <= (exact as f64 * 0.25).max(3.0),
+                    "q={q}: {reported} vs exact {exact} exceeds bucket width"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slo_accounting_per_class() {
+        let tier = small_tier(1, 2);
+        let data = Arc::new(erdos_renyi(30, 90, 7));
+        let gold = Arc::new(clique(3));
+        let steel = Arc::new(clique(2));
+        let report = tier
+            .run(|h| {
+                for _ in 0..8 {
+                    h.submit_wait(Job::new(data.clone(), gold.clone()).with_class("gold"));
+                    h.submit_wait(
+                        Job::new(data.clone(), steel.clone())
+                            .with_class("steel")
+                            .with_deadline(Duration::from_secs(60)),
+                    );
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert!(report.telemetry.is_enabled());
+        assert_eq!(report.slo.classes.len(), 2);
+        let gold_slo = report.slo.class("gold").unwrap();
+        assert_eq!(gold_slo.completed, 8);
+        assert_eq!(gold_slo.failed, 0);
+        assert_eq!((gold_slo.deadline_hits, gold_slo.deadline_misses), (0, 0));
+        // Quantiles are monotone and populated for completed work.
+        assert!(gold_slo.exec_us[0] <= gold_slo.exec_us[1]);
+        assert!(gold_slo.exec_us[1] <= gold_slo.exec_us[2]);
+        let steel_slo = report.slo.class("steel").unwrap();
+        assert_eq!(steel_slo.completed, 8);
+        // A 60 s deadline on sub-second jobs: every one is a hit.
+        assert_eq!((steel_slo.deadline_hits, steel_slo.deadline_misses), (8, 0));
+        // The report JSON carries the SLO block.
+        let json = report.to_json().render();
+        assert!(
+            json.contains("\"queue_p99_us\""),
+            "slo absent from json: {json}"
+        );
+        // And the Prometheus snapshot exports the same families.
+        let prom = report.telemetry.snapshot().render();
+        assert!(prom.contains("cuts_job_queue_us"));
+        assert!(prom.contains("class=\"gold\""));
+        cuts_obs::validate_exposition(&prom).expect("scrapeable exposition");
+    }
+
+    #[test]
+    fn slo_quantiles_bracket_outcome_oracle() {
+        let tier = small_tier(1, 1);
+        let data = Arc::new(erdos_renyi(40, 120, 3));
+        let q = Arc::new(clique(3));
+        let report = tier
+            .run(|h| {
+                for _ in 0..20 {
+                    h.submit_wait(Job::new(data.clone(), q.clone()).with_class("only"));
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(report.stats.completed, 20);
+        assert_slo_brackets_outcomes(&report, "only");
+    }
+
+    #[test]
+    fn deadline_misses_are_counted() {
+        // Pacing stretches exec time well past a 1 µs deadline.
+        let tier = ServeTier::new(
+            ServeConfig::builder()
+                .lanes(1)
+                .device_config(DeviceConfig::test_small())
+                .pacing(100.0)
+                .build()
+                .unwrap(),
+        );
+        let data = Arc::new(mesh2d(4, 4));
+        let q = Arc::new(clique(2));
+        let report = tier
+            .run(|h| {
+                h.submit_wait(
+                    Job::new(data.clone(), q.clone())
+                        .with_class("tight")
+                        .with_deadline(Duration::from_micros(1)),
+                );
+                Ok(())
+            })
+            .unwrap();
+        let slo = report.slo.class("tight").unwrap();
+        assert_eq!((slo.deadline_hits, slo.deadline_misses), (0, 1));
+    }
+
+    #[test]
+    fn telemetry_off_keeps_results_and_empties_slo() {
+        let tier = ServeTier::new(
+            ServeConfig::builder()
+                .lanes(2)
+                .device_config(DeviceConfig::test_small())
+                .telemetry(false)
+                .build()
+                .unwrap(),
+        );
+        let data = Arc::new(erdos_renyi(30, 90, 7));
+        let q = Arc::new(clique(3));
+        let report = tier
+            .run(|h| {
+                h.submit_wait(Job::new(data.clone(), q.clone()));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(report.stats.completed, 1);
+        assert!(!report.telemetry.is_enabled());
+        let slo = report.slo.class("default").unwrap();
+        assert_eq!(slo.completed, 0, "disabled registry records nothing");
+        assert_eq!(slo.queue_us, [0, 0, 0]);
+    }
+
+    #[test]
+    fn failed_job_writes_parseable_postmortem() {
+        let tier = small_tier(1, 1);
+        let data = Arc::new(clique(4));
+        let disconnected = Arc::new(Graph::undirected(4, &[(0, 1), (2, 3)]));
+        let report = tier
+            .run(|h| {
+                h.submit_wait(Job::new(data.clone(), disconnected.clone()).with_name("bad"));
+                h.submit_wait(Job::new(data.clone(), disconnected.clone()).with_name("bad2"));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(report.stats.failed, 2);
+        // One dump per run, not per failure.
+        let path = report.postmortem.as_ref().expect("postmortem written");
+        let text = std::fs::read_to_string(path).expect("dump readable");
+        let (reason, events) = flight::parse_dump(&text).expect("dump parses");
+        assert_eq!(reason, "job_failure");
+        // The dump holds the failing job's typed lifecycle: at least its
+        // submission and the failure itself.
+        assert!(events.iter().any(|e| e.code == FlightCode::JobSubmit));
+        assert!(events.iter().any(|e| e.code == FlightCode::JobFail));
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn stats_every_emits_rolling_snapshots() {
+        let lines = Arc::new(Mutex::new(Vec::<String>::new()));
+        let sink_lines = lines.clone();
+        let tier = ServeTier::new(
+            ServeConfig::builder()
+                .lanes(2)
+                .device_config(DeviceConfig::test_small())
+                .stats_every(2)
+                .stats_sink(move |line| sink_lines.lock().unwrap().push(line.to_string()))
+                .build()
+                .unwrap(),
+        );
+        let data = Arc::new(erdos_renyi(30, 90, 7));
+        let q = Arc::new(clique(3));
+        let report = tier
+            .run(|h| {
+                for _ in 0..6 {
+                    h.submit_wait(Job::new(data.clone(), q.clone()));
+                }
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(report.stats.completed, 6);
+        let lines = lines.lock().unwrap();
+        assert_eq!(lines.len(), 3, "every 2 of 6 completions: {lines:?}");
+        for line in lines.iter() {
+            let v = Json::parse(line).expect("snapshot line parses");
+            let Json::Obj(fields) = &v else {
+                panic!("not an object")
+            };
+            for key in ["finished", "deferrals", "migrations", "slo"] {
+                assert!(fields.iter().any(|(k, _)| k == key), "{key} missing");
+            }
+        }
+    }
+
+    #[test]
+    fn admission_survives_huge_growth_factor() {
+        // A deep chain query on a star data graph: δ = 4000, so the §5
+        // estimate is p1 · (δσ)^(l-1) ≈ 1000^102 — infinite in f64. The
+        // old `as usize` + next_power_of_two path could wrap before the
+        // clamp; admission must instead size at the budget and finish.
+        let tier = small_tier(1, 1);
+        let data = Arc::new(star(4001));
+        let query = Arc::new(chain(103));
+        let session = ExecSession::new(&tier.rank_devices()[0][0], EngineConfig::default());
+        let plan = session.plan_for(&query).unwrap();
+        assert!(
+            !plan.space_estimate(&data, 0.25).is_finite(),
+            "test premise: the estimate must overflow f64"
+        );
+        assert_eq!(
+            job_entries_for(&plan, &data, 0.25),
+            plan.trie_entries_budget
+        );
+        // End-to-end: the job admits and completes (zero matches — the
+        // star has no 103-vertex path).
+        let report = tier
+            .run(|h| {
+                h.submit_wait(Job::new(data.clone(), query.clone()));
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(report.outcomes.len(), 1);
+        let r = report.outcomes[0].result.as_ref().unwrap();
+        assert_eq!(r.num_matches, 0);
     }
 }

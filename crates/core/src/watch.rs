@@ -91,7 +91,7 @@ impl ServeTier {
             alive: vec![true; ranks],
             crashes: cfg.fault_plan().resolve(ranks).crashes,
             applied: 0,
-            telem: Telemetry::with(cfg.telemetry_enabled(), cfg.stats_every(), cfg.stats_sink()),
+            telem: Telemetry::new(cfg.telemetry_enabled(), cfg.stats_every(), cfg.stats_sink()),
             subs: Vec::new(),
             lost_ranks: 0,
         }
@@ -219,7 +219,6 @@ impl WatchSession<'_> {
                 queue_millis,
                 exec_millis: d.sim_millis,
                 trie_entries: d.released_entries,
-                stolen: false,
                 result: Ok(MatchResult {
                     num_matches: d.len() as u64,
                     level_counts: Vec::new(),

@@ -41,7 +41,5 @@ pub use ledger::{AliveBoard, ChunkId, ChunkLedger};
 pub use metrics::{DistResult, RankMetrics, RecoveryStats};
 pub use mpi::{Comm, Message};
 pub use runner::run;
-#[allow(deprecated)]
-pub use runner::{run_distributed, run_distributed_observed, run_distributed_traced};
 pub use sync_runner::{run_synchronous, SyncResult};
 pub use worker::Partition;

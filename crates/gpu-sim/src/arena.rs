@@ -284,10 +284,13 @@ impl Slab {
 impl Drop for Slab {
     fn drop(&mut self) {
         let cs = &self.shared.classes[self.class];
+        // Count the slab out before its bit is cleared: a racing acquire
+        // of the freed bit then cannot push `in_use` (and so the high
+        // water) past the class size.
+        let now = cs.in_use.fetch_sub(1, Ordering::AcqRel) - 1;
+        cs.releases.fetch_add(1, Ordering::Relaxed);
         let freed = cuts_bitalloc::release(&cs.bitmap, self.index);
         debug_assert!(freed, "slab {} double-released", self.index);
-        cs.releases.fetch_add(1, Ordering::Relaxed);
-        let now = cs.in_use.fetch_sub(1, Ordering::AcqRel) - 1;
         self.shared.trace.instant_with(
             EventKind::Arena,
             "release",

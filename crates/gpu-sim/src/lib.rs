@@ -34,9 +34,6 @@
 //!   Slab acquire/release is an O(1) CAS; trie storage grows by chaining
 //!   another slab instead of reallocating, so a warm session performs
 //!   zero device-allocator calls — asserted in tests and gated in CI.
-//! * [`BufferPool`] — a free-list recycler over [`Device::alloc_buffer`]
-//!   with reuse counters; retained as a general-purpose utility for
-//!   callers with irregular buffer sizes the slab classes don't fit.
 
 pub mod arena;
 pub mod buffer;
@@ -46,7 +43,6 @@ pub mod counters;
 pub mod device;
 pub mod error;
 pub mod occupancy;
-pub mod pool;
 pub mod primitives;
 
 pub use arena::{Arena, ArenaStats, ClassSpec, ClassStats, Slab};
@@ -57,4 +53,3 @@ pub use counters::{BlockCounters, CounterScope, CounterSink, Counters};
 pub use device::{BlockCtx, Device};
 pub use error::DeviceError;
 pub use occupancy::occupancy;
-pub use pool::{BufferPool, PoolStats};

@@ -31,14 +31,15 @@ pub const FLIGHT_CAPACITY: usize = 512;
 /// coarse by design — the journal carries the full-fidelity story.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlightCode {
-    /// Scheduler accepted a job into the pending queue (`a` = job id).
+    /// The serving tier accepted a job into a rank's inbox (`a` = job id,
+    /// `b` = rank).
     JobSubmit,
     /// Job admitted to a device lane (`a` = job id, `b` = device).
     JobAdmit,
-    /// Job deferred by the admission ledger (`a` = job id, `b` = backoff µs).
+    /// A lane's claim pass found queued work but took none: nothing fit
+    /// the device's free budget, or an aged head did not (`a` = rank,
+    /// `b` = entries waiting).
     JobDefer,
-    /// Job stolen across lanes (`a` = job id, `b` = thief lane).
-    JobSteal,
     /// Job finished cleanly (`a` = job id, `b` = exec µs).
     JobComplete,
     /// Job finished with an error (`a` = job id).
@@ -67,7 +68,7 @@ pub enum FlightCode {
     Fault,
     /// A rank was declared dead (`a` = rank).
     RankDead,
-    /// A scheduler-level error (`a` = job id when known).
+    /// A serving-level error (`a` = job id when known).
     SchedErr,
     /// An error escaped the serving loop.
     ServeErr,
@@ -83,11 +84,10 @@ pub enum FlightCode {
 
 impl FlightCode {
     /// Every code, for exhaustive reporting.
-    pub const ALL: [FlightCode; 22] = [
+    pub const ALL: [FlightCode; 21] = [
         FlightCode::JobSubmit,
         FlightCode::JobAdmit,
         FlightCode::JobDefer,
-        FlightCode::JobSteal,
         FlightCode::JobComplete,
         FlightCode::JobFail,
         FlightCode::GrowthDenied,
@@ -114,7 +114,6 @@ impl FlightCode {
             FlightCode::JobSubmit => "job_submit",
             FlightCode::JobAdmit => "job_admit",
             FlightCode::JobDefer => "job_defer",
-            FlightCode::JobSteal => "job_steal",
             FlightCode::JobComplete => "job_complete",
             FlightCode::JobFail => "job_fail",
             FlightCode::GrowthDenied => "growth_denied",
