@@ -19,7 +19,7 @@ fn bench_engines(c: &mut Criterion) {
         let q = clique(k);
         group.bench_with_input(BenchmarkId::new("cuts", format!("K{k}")), &q, |b, q| {
             let device = Device::new(DeviceConfig::v100_like());
-            let engine = CutsEngine::new(&device);
+            let engine = ExecSession::new(&device, EngineConfig::default());
             b.iter(|| black_box(engine.run(&data, q).unwrap().num_matches));
         });
         group.bench_with_input(BenchmarkId::new("gsi", format!("K{k}")), &q, |b, q| {

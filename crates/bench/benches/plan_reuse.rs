@@ -2,8 +2,7 @@
 //! QueryPlan / ExecSession split buys: a cold run (fresh session per
 //! iteration — plan rebuilt, trie buffers re-allocated) against a warm
 //! session (plan served from the LRU cache, buffers from the pool), and
-//! the batched entry point that plans once for a whole slice of data
-//! graphs.
+//! one plan executed over a whole slice of data graphs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -59,15 +58,15 @@ fn bench_batched(c: &mut Criterion) {
             black_box(total)
         });
     });
-    // run_batch: plan once, execute over the whole slice.
-    group.bench_function(BenchmarkId::new("run_batch", "8xER"), |b| {
+    // Plan once, execute the plan over the whole slice.
+    group.bench_function(BenchmarkId::new("plan_once", "8xER"), |b| {
         let device = Device::new(DeviceConfig::v100_like());
         let session = ExecSession::new(&device, EngineConfig::default());
         b.iter(|| {
-            let total: u64 = session
-                .run_batch(&graphs, &q)
+            let plan = session.plan_for(&q).unwrap();
+            let total: u64 = graphs
                 .iter()
-                .map(|r| r.as_ref().unwrap().num_matches)
+                .map(|g| session.run_with_plan(&plan, g).unwrap().num_matches)
                 .sum();
             black_box(total)
         });

@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use cuts_bench::{geomean, quick_from_env};
+use cuts_bench::{best_of, geomean, quick_from_env};
 use cuts_core::prelude::*;
 use cuts_core::sched::Job;
 use cuts_gpu_sim::{Arena, ClassSpec, Device, DeviceConfig};
@@ -154,18 +154,6 @@ fn build_with_chain(device: &Device, c: &Case) -> (u64, f64) {
     assert_eq!(table.len(), c.total);
     assert_eq!(arena.stats().device_allocs, 1, "chain must never re-alloc");
     (grows, start.elapsed().as_secs_f64() * 1e3)
-}
-
-fn best_of(reps: usize, mut f: impl FnMut() -> (u64, f64)) -> (u64, f64) {
-    let mut best = f();
-    for _ in 1..reps {
-        let next = f();
-        assert_eq!(next.0, best.0, "repeat builds must behave identically");
-        if next.1 < best.1 {
-            best = next;
-        }
-    }
-    best
 }
 
 /// Warmed-up serving stream: after a full warmup pass drains, a second

@@ -185,10 +185,16 @@ fn main() {
             // What a static engine pays: a cold enumeration over the
             // mutated graph. Its matches double as ground truth.
             let mut full: BTreeSet<Vec<VertexId>> = BTreeSet::new();
+            let plan = rec_session.plan_for(&sc.query).expect("query plans");
             let res = rec_session
-                .run_enumerate(live.graph(), &sc.query, &mut |m| {
-                    full.insert(m.to_vec());
-                })
+                .execute(
+                    &plan,
+                    live.graph(),
+                    None,
+                    Some(&mut |m| {
+                        full.insert(m.to_vec());
+                    }),
+                )
                 .expect("recompute succeeds");
             rec_sim += res.sim_millis;
             if live.match_set(qid) != full {

@@ -15,7 +15,7 @@
 //! cases so the CI smoke step stays under a second.
 
 use cuts_bench::{geomean, quick_from_env, Machine};
-use cuts_core::{CutsEngine, EngineConfig, IntersectStrategy};
+use cuts_core::{EngineConfig, ExecSession, IntersectStrategy};
 use cuts_gpu_sim::Device;
 use cuts_graph::generators::{chain, clique, cycle, star};
 use cuts_graph::labels::{random_labels, zipf_labels};
@@ -120,7 +120,7 @@ fn cases(quick: bool) -> Vec<Case> {
 /// One run; returns (matches, dram words).
 fn run(data: &Graph, query: &Graph, config: EngineConfig) -> (u64, u64) {
     let device = Device::new(Machine::V100.device_config(Scale::Tiny));
-    let r = CutsEngine::with_config(&device, config)
+    let r = ExecSession::new(&device, config)
         .run(data, query)
         .expect("bench case fits the device");
     (r.num_matches, r.counters.dram_total())

@@ -16,7 +16,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use cuts_bench::{geomean, quick_from_env, Machine};
+use cuts_bench::{best_of, geomean, quick_from_env, Machine};
 use cuts_core::{EngineConfig, ExecSession, Snapshot};
 use cuts_gpu_sim::Device;
 use cuts_graph::{edgelist, Dataset, Graph, Scale};
@@ -100,19 +100,6 @@ fn warm_first_query(snap_path: &Path, query: &Graph) -> (u64, f64) {
         "warm start must not build plans"
     );
     (r.num_matches, ms)
-}
-
-/// Best of `reps` to damp scheduler noise on sub-millisecond laps.
-fn best_of(reps: usize, mut f: impl FnMut() -> (u64, f64)) -> (u64, f64) {
-    let mut best = f();
-    for _ in 1..reps {
-        let next = f();
-        assert_eq!(next.0, best.0, "repeat runs must agree");
-        if next.1 < best.1 {
-            best = next;
-        }
-    }
-    best
 }
 
 fn main() {

@@ -108,6 +108,22 @@ pub fn geomean(xs: &[f64]) -> Option<f64> {
     Some((log_sum / xs.len() as f64).exp())
 }
 
+/// Best of `reps` timed repeats (at least one), to damp scheduler noise
+/// on sub-millisecond laps. `f` returns `(result, millis)`; every repeat
+/// must reproduce the same result, so the kept time always measures the
+/// same work.
+pub fn best_of(reps: usize, mut f: impl FnMut() -> (u64, f64)) -> (u64, f64) {
+    let mut best = f();
+    for _ in 1..reps {
+        let next = f();
+        assert_eq!(next.0, best.0, "repeats must reproduce the same result");
+        if next.1 < best.1 {
+            best = next;
+        }
+    }
+    best
+}
+
 /// Formats a milliseconds-or-failure cell like the paper's Table 3.
 pub fn cell(v: Option<f64>) -> String {
     match v {
@@ -125,6 +141,25 @@ mod tests {
         assert!(geomean(&[]).is_none());
         let g = geomean(&[1.0, 100.0]).unwrap();
         assert!((g - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn best_of_keeps_the_fastest_repeat() {
+        let mut laps = [3.0, 1.0, 2.0].into_iter();
+        assert_eq!(best_of(3, || (7, laps.next().unwrap())), (7, 1.0));
+        let mut calls = 0;
+        best_of(0, || {
+            calls += 1;
+            (0, 0.0)
+        });
+        assert_eq!(calls, 1, "at least one repeat runs");
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats must reproduce the same result")]
+    fn best_of_rejects_diverging_repeats() {
+        let mut results = [1, 2].into_iter();
+        best_of(2, || (results.next().unwrap(), 1.0));
     }
 
     #[test]

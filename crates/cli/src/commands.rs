@@ -301,12 +301,18 @@ fn run_match(opts: &MatchOpts, profile: bool) -> Result<(), CmdError> {
                 ExecSession::with_cache_capacity(&device, engine_cfg.clone(), opts.plan_cache);
             let r = if opts.enumerate > 0 {
                 let mut shown = 0usize;
-                session.run_enumerate(&data, &query, &mut |m| {
-                    if shown < opts.enumerate {
-                        println!("  {m:?}");
-                        shown += 1;
-                    }
-                })?
+                let plan = session.plan_for(&query)?;
+                session.execute(
+                    &plan,
+                    &data,
+                    None,
+                    Some(&mut |m| {
+                        if shown < opts.enumerate {
+                            println!("  {m:?}");
+                            shown += 1;
+                        }
+                    }),
+                )?
             } else {
                 session.run(&data, &query)?
             };
@@ -365,12 +371,18 @@ fn run_match_warm(path: &str, opts: &MatchOpts, profile: bool) -> Result<(), Cmd
     let data = snap.graph();
     let r = if opts.enumerate > 0 {
         let mut shown = 0usize;
-        session.run_enumerate(data, &query, &mut |m| {
-            if shown < opts.enumerate {
-                println!("  {m:?}");
-                shown += 1;
-            }
-        })?
+        let plan = session.plan_for(&query)?;
+        session.execute(
+            &plan,
+            data,
+            None,
+            Some(&mut |m| {
+                if shown < opts.enumerate {
+                    println!("  {m:?}");
+                    shown += 1;
+                }
+            }),
+        )?
     } else {
         session.run(data, &query)?
     };
@@ -414,11 +426,16 @@ fn run_snapshot_build(opts: &SnapshotBuildOpts) -> Result<(), CmdError> {
             let plan = session.plan_for(q)?; // cache hit: planned above
             let order = plan.order.order.clone();
             let mut paths: Vec<Vec<u32>> = Vec::new();
-            session.run_enumerate(&data, q, &mut |m| {
-                // The sink is indexed by query vertex id; trie paths are
-                // in matching-order space.
-                paths.push(order.iter().map(|&v| m[v as usize]).collect());
-            })?;
+            session.execute(
+                &plan,
+                &data,
+                None,
+                Some(&mut |m| {
+                    // The sink is indexed by query vertex id; trie paths
+                    // are in matching-order space.
+                    paths.push(order.iter().map(|&v| m[v as usize]).collect());
+                }),
+            )?;
             let csf = Csf::from_host_trie(&HostTrie::from_flat_paths(&paths));
             snap.add_trie(plan.key.query, csf);
             println!("  stored result trie for {spec}: {} path(s)", paths.len());

@@ -20,7 +20,7 @@
 //!    `subtree_release` trie event) while clean subtrees are retained;
 //! 4. dirty roots that pass the host-side level-0 filter are re-seeded
 //!    as a depth-1 trie and only those subtrees are re-expanded on the
-//!    device ([`ExecSession::run_seeded_enumerate`]);
+//!    device ([`ExecSession::execute`] with a seed and a sink);
 //! 5. the per-root set difference between the old and new subtrees is
 //!    the [`MatchDelta`] — embeddings added and removed by the batch.
 //!
@@ -124,12 +124,11 @@ impl From<EngineError> for DynamicError {
     }
 }
 
-/// One registered standing query: its graph, its plan (resolved once at
+/// One registered standing query: its plan (resolved once at
 /// registration: the matching order and the level-0 root filter) and
 /// the host mirror of its current embedding trie (full paths in order
 /// space).
 struct StandingQuery {
-    query: Graph,
     plan: Arc<QueryPlan>,
     trie: HostTrie,
 }
@@ -242,12 +241,12 @@ impl<'d> DynamicSession<'d> {
             let mut sink = |m: &[u32]| {
                 paths.push(order.iter().map(|&q| m[q as usize]).collect());
             };
-            self.session.run_enumerate(&self.graph, query, &mut sink)?;
+            self.session
+                .execute(&plan, &self.graph, None, Some(&mut sink))?;
         }
         paths.sort_unstable();
         let id = StandingQueryId(self.queries.len());
         self.queries.push(StandingQuery {
-            query: query.clone(),
             plan,
             trie: HostTrie::from_flat_paths(&paths),
         });
@@ -271,7 +270,7 @@ impl<'d> DynamicSession<'d> {
             set.insert(m.to_vec());
         };
         self.session
-            .run_enumerate(&self.graph, &sq.query, &mut sink)?;
+            .execute(&sq.plan, &self.graph, None, Some(&mut sink))?;
         Ok(set)
     }
 
@@ -328,7 +327,7 @@ impl<'d> DynamicSession<'d> {
                 let mut sink = |m: &[u32]| {
                     new_paths.insert(order.iter().map(|&q| m[q as usize]).collect());
                 };
-                let r = session.run_seeded_enumerate(graph, &sq.query, &seed, &mut sink)?;
+                let r = session.execute(&sq.plan, graph, Some(&seed), Some(&mut sink))?;
                 sim_millis = r.sim_millis;
             }
 

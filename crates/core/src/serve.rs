@@ -43,7 +43,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use cuts_gpu_sim::{Device, DeviceConfig};
@@ -908,6 +908,29 @@ impl<'e> ServeShared<'e, '_> {
     }
 }
 
+/// Closes the stream when dropped — so [`ServeTier::run`] closes it
+/// whether the submit closure returns or panics — and wakes every
+/// waiter: blocked submitters, and every rank's idle lanes, which exit
+/// once the registered work has committed.
+struct CloseStream<'a, 'e, 't>(&'a ServeShared<'e, 't>);
+
+impl Drop for CloseStream<'_, '_, '_> {
+    fn drop(&mut self) {
+        // Poison-tolerant: this also runs while a submitter unwinds.
+        let shared = self.0;
+        shared
+            .gate
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
+        shared.space.notify_all();
+        for rank in &shared.ranks {
+            let _inbox = rank.inbox.lock().unwrap_or_else(PoisonError::into_inner);
+            rank.work.notify_all();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Submission handle.
 
@@ -1193,18 +1216,10 @@ impl ServeTier {
                     }
                 }
             }
-            let handle = ServeHandle { shared: &shared };
-            let r = submit(&handle);
-            {
-                let mut g = shared.gate.lock().unwrap();
-                g.closed = true;
-            }
-            shared.space.notify_all();
-            for rank in &shared.ranks {
-                let _inbox = rank.inbox.lock().unwrap();
-                rank.work.notify_all();
-            }
-            r
+            // However `submit` ends, the lanes drain and exit, so the
+            // scope can join them (and re-raise a submitter's panic).
+            let _close = CloseStream(&shared);
+            submit(&ServeHandle { shared: &shared })
             // Scope exit joins every lane of every rank.
         });
         submit_result?;
@@ -1334,15 +1349,9 @@ impl ServeTier {
                 .and_then(|plan| {
                     let entries = job_entries_for(&plan, &job.data, cfg.sigma);
                     let budget = plan.trie_entries_budget.max(1);
-                    match session
+                    session
                         .run_with_plan_budgeted(&plan, &job.data, entries, budget, &GrantAll)
-                    {
-                        Ok(ok) => Ok(ok),
-                        Err(BudgetedRunError::Engine(e)) => Err(CutsError::from(e)),
-                        Err(BudgetedRunError::GrowthDenied { .. }) => {
-                            unreachable!("GrantAll never denies growth")
-                        }
-                    }
+                        .map_err(|e| CutsError::from(e.granted()))
                 });
             let (result, entries) = match result {
                 Ok((r, e)) => {
@@ -1750,6 +1759,30 @@ mod tests {
             })
             .unwrap();
         assert_eq!(report.stats.completed, 2);
+    }
+
+    #[test]
+    fn panicking_submitter_propagates_instead_of_hanging() {
+        // The tier runs on a helper thread so that a hang fails this test
+        // on the timeout below instead of wedging the whole suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let tier = small_tier(1, 2);
+            let data = Arc::new(erdos_renyi(30, 90, 7));
+            let query = Arc::new(clique(3));
+            let out = catch_unwind(AssertUnwindSafe(|| {
+                tier.run(|h| {
+                    h.submit_wait(Job::new(data, query));
+                    panic!("submitter failed");
+                })
+            }));
+            let _ = tx.send(out.is_err());
+        });
+        let unwound = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("ServeTier::run must return after its submit closure panics");
+        assert!(unwound, "the submitter's panic must reach the caller");
+        helper.join().expect("the helper caught the panic");
     }
 
     #[test]

@@ -33,8 +33,8 @@ use cuts_gpu_sim::{
 use cuts_graph::components::{extract_component, weakly_connected_components};
 use cuts_graph::Graph;
 use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Arg, EventKind, Json, ToJson};
-use cuts_trie::{PairTable, Trie};
+use cuts_obs::{Arg, EventKind, Json, Span, ToJson};
+use cuts_trie::{HostTrie, PairTable, Trie};
 
 use crate::cache::{PlanCache, PlanCacheStats};
 use crate::config::EngineConfig;
@@ -133,6 +133,17 @@ pub(crate) enum BudgetedRunError {
     },
 }
 
+impl BudgetedRunError {
+    /// The engine error of a run whose ledger grants every step
+    /// ([`GrantAll`]), so growth is never denied.
+    pub(crate) fn granted(self) -> EngineError {
+        match self {
+            BudgetedRunError::Engine(e) => e,
+            BudgetedRunError::GrowthDenied { .. } => unreachable!("GrantAll never denies growth"),
+        }
+    }
+}
+
 impl From<EngineError> for BudgetedRunError {
     fn from(e: EngineError) -> Self {
         BudgetedRunError::Engine(e)
@@ -169,11 +180,31 @@ impl TrieArena {
     }
 }
 
-/// Mutable growth context threaded through a budgeted run.
+/// Mutable growth context threaded through a run: the chain grows in
+/// place from `cur_entries` while below `limit_entries`, each step
+/// charged to `ledger`.
 struct GrowthState<'a> {
     cur_entries: usize,
     limit_entries: usize,
     ledger: &'a dyn GrowthLedger,
+}
+
+/// How one level step ended (see [`ExecSession::expand_level`]).
+enum Expanded {
+    /// The new level was committed: its entry range.
+    Sealed(Range<usize>),
+    /// The level did not fit and was rolled back; carries the step's
+    /// still-open `level` span so the caller can tag how it recovers.
+    Overflow(Option<Span>),
+}
+
+/// What every level step of one run shares (see
+/// [`ExecSession::expand_level`]).
+struct LevelStep<'a> {
+    data: &'a Graph,
+    plan: &'a QueryPlan,
+    policy: KernelPolicy,
+    vwarp: usize,
 }
 
 /// A reusable executor binding an [`EngineConfig`] to one [`Device`].
@@ -333,75 +364,45 @@ impl<'d> ExecSession<'d> {
     /// otherwise.
     pub fn run(&self, data: &Graph, query: &Graph) -> Result<MatchResult, EngineError> {
         let plan = self.plan_for(query)?;
-        self.run_inner(&plan, data, None, None, None)
+        self.execute(&plan, data, None, None)
     }
 
-    /// Executes an already-built plan over `data` (the batch entry points
-    /// and benchmarks use this to separate plan cost from run cost).
+    /// Executes an already-built plan over `data` (benchmarks use this to
+    /// separate plan cost from run cost, and batches of data graphs to
+    /// plan once).
     pub fn run_with_plan(
         &self,
         plan: &QueryPlan,
         data: &Graph,
     ) -> Result<MatchResult, EngineError> {
-        self.run_inner(plan, data, None, None, None)
+        self.execute(plan, data, None, None)
     }
 
-    /// [`ExecSession::run_with_plan`] with an explicit trie capacity of
-    /// `entries` PA/CA pairs for this run only, acquired exactly (no
-    /// best-fit over-serving). The serving tier sizes each job from its own
-    /// §5 space estimate instead of this session's device-wide default,
-    /// which keeps results independent of lane count and arena history.
-    pub fn run_with_plan_sized(
+    /// The general run: executes `plan` over `data`, optionally resuming
+    /// from `seed` and optionally streaming every embedding to `sink`.
+    ///
+    /// * `seed`: already-built partial paths — the receiving side of a
+    ///   §4.2 work donation, or the dirty roots the incremental matcher
+    ///   re-expands. `seed.levels.len()` query vertices (in `plan`'s
+    ///   order) are treated as matched; the run continues from there and
+    ///   counts only completions of the seeded paths.
+    /// * `sink`: receives each embedding in query-vertex space (no
+    ///   materialisation of the full result set).
+    ///
+    /// The trie is a full-capacity arena chain; when a level does not fit
+    /// the run falls back to hybrid BFS-DFS chunks (§4.1.2).
+    pub fn execute(
         &self,
         plan: &QueryPlan,
         data: &Graph,
-        entries: usize,
+        seed: Option<&HostTrie>,
+        sink: Option<MatchSink<'_>>,
     ) -> Result<MatchResult, EngineError> {
-        self.run_inner(plan, data, None, None, Some(entries))
-    }
-
-    /// Like [`ExecSession::run`], additionally streaming every embedding
-    /// to `sink` (no materialisation of the full result set).
-    pub fn run_enumerate(
-        &self,
-        data: &Graph,
-        query: &Graph,
-        sink: MatchSink<'_>,
-    ) -> Result<MatchResult, EngineError> {
-        let plan = self.plan_for(query)?;
-        self.run_inner(&plan, data, Some(sink), None, None)
-    }
-
-    /// Resumes matching from already-built partial paths: the receiving
-    /// side of a §4.2 work donation. `seed.levels.len()` query vertices
-    /// (in this session's order for `query`) are treated as matched; the
-    /// run continues from there and counts only completions of the seeded
-    /// paths. Arguments follow the workspace convention: data graph
-    /// before query graph.
-    pub fn run_seeded(
-        &self,
-        data: &Graph,
-        query: &Graph,
-        seed: &cuts_trie::HostTrie,
-    ) -> Result<MatchResult, EngineError> {
-        let plan = self.plan_for(query)?;
-        self.run_inner(&plan, data, None, Some(seed), None)
-    }
-
-    /// [`ExecSession::run_seeded`] with streaming: every completion of a
-    /// seeded path is handed to `sink` as a full embedding in
-    /// query-vertex space. This is the incremental matcher's workhorse —
-    /// dirty roots become a depth-1 seed and only their subtrees are
-    /// re-expanded on the device.
-    pub fn run_seeded_enumerate(
-        &self,
-        data: &Graph,
-        query: &Graph,
-        seed: &cuts_trie::HostTrie,
-        sink: MatchSink<'_>,
-    ) -> Result<MatchResult, EngineError> {
-        let plan = self.plan_for(query)?;
-        self.run_inner(&plan, data, Some(sink), Some(seed), None)
+        // A chain that starts at the full arena has no room to grow, so
+        // the run never consults its ledger.
+        self.run_chain(plan, data, seed, sink, usize::MAX, usize::MAX, &GrantAll)
+            .map(|(r, _)| r)
+            .map_err(BudgetedRunError::granted)
     }
 
     /// Materialises `dirty` (the subtrees uprooted by a batch of edge
@@ -409,12 +410,12 @@ impl<'d> ExecSession<'d> {
     /// the stale subtrees occupied return to the arena before their
     /// roots are re-expanded. Emits one `subtree_release` trie event
     /// carrying the entry and root counts; returns the entries released.
-    pub fn release_subtrees(&self, dirty: &cuts_trie::HostTrie) -> Result<usize, EngineError> {
+    pub fn release_subtrees(&self, dirty: &HostTrie) -> Result<usize, EngineError> {
         let entries = dirty.len();
         if entries == 0 {
             return Ok(0);
         }
-        let mut trie = self.acquire_trie()?;
+        let (mut trie, ..) = self.acquire_chain(usize::MAX, usize::MAX)?;
         trie.load(dirty)?;
         drop(trie); // slabs return to the arena here
         self.device.trace().instant_with(
@@ -429,27 +430,6 @@ impl<'d> ExecSession<'d> {
             ],
         );
         Ok(entries)
-    }
-
-    /// Runs one query over many data graphs, planning once. Results are in
-    /// input order, one `Result` per data graph — a failure on one graph
-    /// (say, a capacity exhaustion) does not discard the completed runs.
-    /// The trie buffers and the plan are shared across the whole batch,
-    /// so only the first element can trigger device allocation. When the
-    /// query itself cannot be planned, every slot carries that error.
-    pub fn run_batch(
-        &self,
-        datas: &[Graph],
-        query: &Graph,
-    ) -> Vec<Result<MatchResult, EngineError>> {
-        let plan = match self.plan_for(query) {
-            Ok(p) => p,
-            Err(e) => return datas.iter().map(|_| Err(e.clone())).collect(),
-        };
-        datas
-            .iter()
-            .map(|data| self.run_inner(&plan, data, None, None, None))
-            .collect()
     }
 
     /// §4 composition for disconnected query graphs: match each weakly
@@ -503,43 +483,31 @@ impl<'d> ExecSession<'d> {
 
     /// Expands seeded partial paths by exactly one level and returns the
     /// extended paths as a host trie (depth `seed.depth() + 1`). Used by
-    /// the distributed worker's progressive deepening: a single heavy
+    /// the distributed runtimes' progressive deepening: a single heavy
     /// subtree becomes many donatable frontier slices. The seed must be
     /// shallower than the query.
     pub fn expand_seed_once(
         &self,
+        plan: &QueryPlan,
         data: &Graph,
-        query: &Graph,
-        seed: &cuts_trie::HostTrie,
-    ) -> Result<cuts_trie::HostTrie, EngineError> {
-        let plan = self.plan_for(query)?;
+        seed: &HostTrie,
+    ) -> Result<HostTrie, EngineError> {
         let depth = seed.levels.len();
         assert!(
             depth >= 1 && depth < plan.len(),
             "seed depth must be in 1..|V_Q|"
         );
-        let mut trie = self.acquire_trie()?;
-        let out = (|| {
-            trie.load(seed)?;
-            let frontier = trie.level(depth - 1);
-            let vwarp = self.config.virtual_warp.width(data.avg_out_degree());
-            let policy = self.resolve_policy(&plan, data);
-            let params = ExpandParams {
-                data,
-                plan: &plan.order,
-                pos: depth,
-                vwarp,
-                method: policy.method_at(depth),
-                shared_words: self.class.shared_mem_words_per_block,
-                placement: None,
-                max_blocks: self.config.max_blocks,
-            };
-            expand_range(self.device, &trie, frontier, &params)?;
-            trie.seal_level();
-            Ok(trie.to_host())
-        })();
-        drop(trie); // slabs return to the arena here
-        out
+        let (mut trie, ..) = self.acquire_chain(usize::MAX, usize::MAX)?;
+        trie.load(seed)?;
+        let step = self.level_step(plan, data);
+        let frontier = trie.level(depth - 1);
+        match self.expand_level(&step, &mut trie, depth, frontier, None)? {
+            Expanded::Sealed(_) => Ok(trie.to_host()),
+            Expanded::Overflow(_) => Err(DeviceError::BufferOverflow {
+                capacity: trie.table().capacity(),
+            }
+            .into()),
+        }
     }
 
     /// The session's trie arena, carved on first use. Geometry follows
@@ -610,85 +578,25 @@ impl<'d> ExecSession<'d> {
             .chain_words(entries)
     }
 
-    /// Hands out a full-capacity trie chain (every slab pair the class
-    /// holds). Warm-path cost is `O(pairs)` bitmap CASes — the device
-    /// allocator is never involved after the first carve.
-    fn acquire_trie(&self) -> Result<Trie, EngineError> {
-        let t = self.trie_arena()?;
-        let cap = t.max_chain_entries();
-        let table = PairTable::chained_on_arena(&t.arena, 0, cap, cap)?;
-        Ok(Trie::from_table(table))
-    }
-
-    /// A trie chain covering `entries` with no room to grow, bypassing
-    /// the session-wide sizing (serving path; see
-    /// [`ExecSession::run_with_plan_sized`]). Capacity is `entries`
-    /// rounded up to whole slabs and clamped to the class — a
-    /// deterministic function of `entries` and the device model alone,
-    /// which keeps results independent of lane count and run history.
-    fn acquire_trie_sized(&self, entries: usize) -> Result<Trie, EngineError> {
-        let t = self.trie_arena()?;
-        let entries = entries.clamp(1, t.max_chain_entries());
-        let table = PairTable::chained_on_arena(&t.arena, 0, entries, entries)?;
-        Ok(Trie::from_table(table))
-    }
-
-    /// A trie chain starting at `entries` whose spine can grow to
-    /// `limit`. Used by the budgeted serving path.
-    fn acquire_trie_budgeted(&self, entries: usize, limit: usize) -> Result<Trie, EngineError> {
-        let t = self.trie_arena()?;
-        let table = PairTable::chained_on_arena(&t.arena, 0, entries, limit)?;
-        Ok(Trie::from_table(table))
-    }
-
-    fn run_inner(
+    /// The one place a trie chain is taken from the arena: capacity
+    /// `entries`, with spine room to grow in place up to `limit` entries.
+    /// Both are clamped to the class (`usize::MAX` asks for the whole
+    /// arena) and returned clamped. Capacity is `entries` rounded up to
+    /// whole slabs — a deterministic function of the request and the
+    /// device model alone, which keeps serving results independent of
+    /// lane count and run history. Warm-path cost is `O(pairs)` bitmap
+    /// CASes; the device allocator is only involved in the first carve.
+    fn acquire_chain(
         &self,
-        plan: &QueryPlan,
-        data: &Graph,
-        sink: Option<MatchSink<'_>>,
-        seed: Option<&cuts_trie::HostTrie>,
-        trie_entries: Option<usize>,
-    ) -> Result<MatchResult, EngineError> {
-        let trace = self.device.trace();
-        let mut rspan = if trace.is_enabled() {
-            let mut s = trace.span(EventKind::Run, "run");
-            s.arg("query_n", Arg::U64(plan.len() as u64));
-            s.arg("data_n", Arg::U64(data.num_vertices() as u64));
-            Some(s)
-        } else {
-            None
-        };
-        let wall_start = Instant::now();
-        let counter_sink = CounterSink::install();
-        let mut trie = match trie_entries {
-            Some(entries) => self.acquire_trie_sized(entries)?,
-            None => self.acquire_trie()?,
-        };
-        let out = self.run_core(
-            plan,
-            data,
-            &mut trie,
-            sink,
-            seed,
-            wall_start,
-            &counter_sink,
-            None,
-        );
-        drop(trie); // slabs return to the arena here
-        let out = out.map_err(|e| match e {
-            BudgetedRunError::Engine(e) => e,
-            BudgetedRunError::GrowthDenied { .. } => {
-                unreachable!("growth denial without a ledger")
-            }
-        });
-        if let Ok(r) = &out {
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            if let Some(s) = &mut rspan {
-                s.arg("matches", Arg::U64(r.num_matches));
-                s.counters(r.counters.into());
-            }
-        }
-        out
+        entries: usize,
+        limit: usize,
+    ) -> Result<(Trie, usize, usize), EngineError> {
+        let t = self.trie_arena()?;
+        let max = t.max_chain_entries();
+        let entries = entries.clamp(1, max);
+        let limit = limit.clamp(entries, max);
+        let table = PairTable::chained_on_arena(&t.arena, 0, entries, limit)?;
+        Ok((Trie::from_table(table), entries, limit))
     }
 
     /// The serving tier's entry point: run `plan` over `data` on a trie
@@ -710,12 +618,25 @@ impl<'d> ExecSession<'d> {
         limit_entries: usize,
         ledger: &dyn GrowthLedger,
     ) -> Result<(MatchResult, usize), BudgetedRunError> {
-        let max = self
-            .trie_arena()
-            .map_err(BudgetedRunError::Engine)?
-            .max_chain_entries();
-        let entries = entries.clamp(1, max);
-        let limit = limit_entries.clamp(entries, max);
+        self.run_chain(plan, data, None, None, entries, limit_entries, ledger)
+    }
+
+    /// The run core every run funnels into: opens the `run` span,
+    /// installs the per-thread counter sink, acquires a chain of `entries`
+    /// that may grow to `limit_entries`, searches it ([`Self::run_core`])
+    /// and counts the run. Returns the result and the capacity (entries)
+    /// the chain settled on.
+    #[allow(clippy::too_many_arguments)]
+    fn run_chain(
+        &self,
+        plan: &QueryPlan,
+        data: &Graph,
+        seed: Option<&HostTrie>,
+        sink: Option<MatchSink<'_>>,
+        entries: usize,
+        limit_entries: usize,
+        ledger: &dyn GrowthLedger,
+    ) -> Result<(MatchResult, usize), BudgetedRunError> {
         let trace = self.device.trace();
         let mut rspan = if trace.is_enabled() {
             let mut s = trace.span(EventKind::Run, "run");
@@ -727,24 +648,26 @@ impl<'d> ExecSession<'d> {
         };
         let wall_start = Instant::now();
         let counter_sink = CounterSink::install();
-        let mut trie = self
-            .acquire_trie_budgeted(entries, limit)
-            .map_err(BudgetedRunError::Engine)?;
+        let (mut trie, entries, limit_entries) = self.acquire_chain(entries, limit_entries)?;
         let mut growth = GrowthState {
             cur_entries: entries,
-            limit_entries: limit,
+            limit_entries,
             ledger,
         };
-        let out = self.run_core(
-            plan,
-            data,
-            &mut trie,
-            None,
-            None,
-            wall_start,
-            &counter_sink,
-            Some(&mut growth),
-        );
+        let out = self
+            .run_core(plan, data, &mut trie, seed, sink, &mut growth)
+            .map(|(num_matches, level_counts, used_chunking)| {
+                let counters = counter_sink.snapshot();
+                MatchResult {
+                    num_matches,
+                    level_counts,
+                    sim_millis: CostModel::default().millis(&counters, self.device.config()),
+                    counters,
+                    wall_millis: wall_start.elapsed().as_secs_f64() * 1e3,
+                    used_chunking,
+                    order: plan.order.order.clone(),
+                }
+            });
         drop(trie); // slabs return to the arena here
         if let Ok(r) = &out {
             self.runs.fetch_add(1, Ordering::Relaxed);
@@ -756,30 +679,31 @@ impl<'d> ExecSession<'d> {
         out.map(|r| (r, growth.cur_entries))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The trie search on an acquired chain: level 0 (or the loaded
+    /// `seed`), then BFS level by level; a level that does not fit first
+    /// grows the chain in place as far as `growth` allows, then falls
+    /// back to hybrid BFS-DFS chunks (§4.1.2). Returns the match count,
+    /// the per-level path counts and whether chunking was used.
     fn run_core(
         &self,
         plan: &QueryPlan,
         data: &Graph,
         trie: &mut Trie,
+        seed: Option<&HostTrie>,
         mut sink: Option<MatchSink<'_>>,
-        seed: Option<&cuts_trie::HostTrie>,
-        wall_start: Instant,
-        counter_sink: &CounterSink,
-        mut growth: Option<&mut GrowthState<'_>>,
-    ) -> Result<MatchResult, BudgetedRunError> {
+        growth: &mut GrowthState<'_>,
+    ) -> Result<(u64, Vec<u64>, bool), BudgetedRunError> {
         let order = &plan.order;
         let n = order.len();
         let mut level_counts = vec![0u64; n];
-        let vwarp = self.config.virtual_warp.width(data.avg_out_degree());
         let mut rng = SmallRng::seed_from_u64(self.config.seed);
-        let policy = self.resolve_policy(plan, data);
-        let profile = data.profile();
+        let step = self.level_step(plan, data);
 
         let trace = self.device.trace();
         let (frontier0, start_pos) = match seed {
             None => {
                 let mut lspan = level_span(trace, 0, data.num_vertices());
+                let profile = data.profile();
                 let pre = self.config.signature_prefilter.then(|| SigPrefilter {
                     sigs: &profile.signatures,
                     required: plan.required_root_signature(data.is_labeled()),
@@ -816,95 +740,70 @@ impl<'d> ExecSession<'d> {
         let mut chunked_total: Option<u64> = None;
 
         while pos < n && !frontier.is_empty() {
-            let mut lspan = level_span(trace, pos, frontier.len());
-            let pre_len = trie.table().len();
             let placement = self.placement(&mut rng, &frontier);
-            let params = ExpandParams {
-                data,
-                plan: order,
-                pos,
-                vwarp,
-                method: policy.method_at(pos),
-                shared_words: self.class.shared_mem_words_per_block,
-                placement: placement.as_deref(),
-                max_blocks: self.config.max_blocks,
-            };
-            match expand_range(self.device, trie, frontier.clone(), &params) {
-                Ok(()) => {
-                    let lvl = trie.seal_level();
+            match self.expand_level(&step, trie, pos, frontier.clone(), placement.as_deref())? {
+                Expanded::Sealed(lvl) => {
                     level_counts[pos] += lvl.len() as u64;
-                    if let Some(s) = &mut lspan {
-                        s.arg("paths", Arg::U64(lvl.len() as u64));
-                    }
                     frontier = lvl;
                     pos += 1;
                 }
-                Err(DeviceError::BufferOverflow { .. }) => {
-                    trie.table().truncate(pre_len);
-                    // The attempt's children were rolled back: it
-                    // committed no paths. Its depth is retried after
-                    // growth, or walked by the hybrid chunks below.
-                    if let Some(s) = &mut lspan {
-                        s.arg("paths", Arg::U64(0));
-                    }
-                    // A budgeted run grows the chain in place first —
-                    // appending slabs is cheaper than spilling to the
-                    // hybrid walk, and the expansion resumes exactly
-                    // where it overflowed (counts are only committed on
-                    // success, so the retry double-counts nothing).
-                    if let Some(g) = growth.as_deref_mut() {
-                        if g.cur_entries < g.limit_entries {
-                            let (seg, cur_cap, max_e) = {
-                                let t = trie.table();
-                                (t.seg_entries(), t.capacity(), t.max_entries())
-                            };
-                            let cap_of = |e: usize| (e.div_ceil(seg) * seg).min(max_e);
-                            // Double past the slab-rounded capacity we
-                            // already have, so every step adds a segment.
-                            let mut target = (g.cur_entries * 2).min(g.limit_entries);
-                            while target < g.limit_entries && cap_of(target) <= cur_cap {
-                                target = (target * 2).min(g.limit_entries);
-                            }
-                            let target_cap = cap_of(target);
-                            let delta_words = 2 * target_cap.saturating_sub(cur_cap);
-                            if delta_words == 0 {
-                                // Even the limit adds no capacity: fall
-                                // through to the hybrid walk below.
-                                g.cur_entries = target;
-                            } else if !g.ledger.try_grant(delta_words) {
-                                return Err(BudgetedRunError::GrowthDenied {
-                                    target_entries: target,
-                                });
-                            } else {
-                                match trie.grow_to(target_cap) {
-                                    Ok(new_cap) => {
-                                        g.cur_entries = target;
-                                        flight::record(
-                                            FlightCode::ArenaGrow,
-                                            pos as u64,
-                                            new_cap as u64,
-                                        );
-                                        trace.instant_with(
-                                            EventKind::Arena,
-                                            "chain_grow",
-                                            &[
-                                                ("depth", Arg::U64(pos as u64)),
-                                                ("capacity", Arg::U64(new_cap as u64)),
-                                            ],
-                                        );
-                                        continue;
-                                    }
-                                    Err(_) => {
-                                        // The ledger said yes but the
-                                        // class could not serve — a
-                                        // protocol breach somewhere; fall
-                                        // back to chunking.
-                                        g.ledger.refund(delta_words);
-                                        debug_assert!(
-                                            false,
-                                            "ledger-granted chain growth must not fail"
-                                        );
-                                    }
+                Expanded::Overflow(lspan) => {
+                    // Grow the chain in place first — appending slabs is
+                    // cheaper than spilling to the hybrid walk, and the
+                    // expansion resumes exactly where it overflowed
+                    // (counts are only committed on success, so the retry
+                    // double-counts nothing). A chain already at its
+                    // limit skips straight to the hybrid walk.
+                    if growth.cur_entries < growth.limit_entries {
+                        let (seg, cur_cap, max_e) = {
+                            let t = trie.table();
+                            (t.seg_entries(), t.capacity(), t.max_entries())
+                        };
+                        let cap_of = |e: usize| (e.div_ceil(seg) * seg).min(max_e);
+                        // Double past the slab-rounded capacity we
+                        // already have, so every step adds a segment.
+                        let mut target = (growth.cur_entries * 2).min(growth.limit_entries);
+                        while target < growth.limit_entries && cap_of(target) <= cur_cap {
+                            target = (target * 2).min(growth.limit_entries);
+                        }
+                        let target_cap = cap_of(target);
+                        let delta_words = 2 * target_cap.saturating_sub(cur_cap);
+                        if delta_words == 0 {
+                            // Even the limit adds no capacity: fall
+                            // through to the hybrid walk below.
+                            growth.cur_entries = target;
+                        } else if !growth.ledger.try_grant(delta_words) {
+                            return Err(BudgetedRunError::GrowthDenied {
+                                target_entries: target,
+                            });
+                        } else {
+                            match trie.grow_to(target_cap) {
+                                Ok(new_cap) => {
+                                    growth.cur_entries = target;
+                                    flight::record(
+                                        FlightCode::ArenaGrow,
+                                        pos as u64,
+                                        new_cap as u64,
+                                    );
+                                    trace.instant_with(
+                                        EventKind::Arena,
+                                        "chain_grow",
+                                        &[
+                                            ("depth", Arg::U64(pos as u64)),
+                                            ("capacity", Arg::U64(new_cap as u64)),
+                                        ],
+                                    );
+                                    continue;
+                                }
+                                Err(_) => {
+                                    // The ledger said yes but the class
+                                    // could not serve — a protocol breach
+                                    // somewhere; fall back to chunking.
+                                    growth.ledger.refund(delta_words);
+                                    debug_assert!(
+                                        false,
+                                        "ledger-granted chain growth must not fail"
+                                    );
                                 }
                             }
                         }
@@ -912,7 +811,7 @@ impl<'d> ExecSession<'d> {
                     // Hybrid BFS-DFS (§4.1.2): walk the remaining depths
                     // chunk by chunk inside the capacity we have.
                     used_chunking = true;
-                    if let Some(mut s) = lspan.take() {
+                    if let Some(mut s) = lspan {
                         s.arg("spilled", Arg::U64(1));
                     }
                     trace.instant_with(
@@ -924,21 +823,17 @@ impl<'d> ExecSession<'d> {
                         ],
                     );
                     let total = self.process_chunks(
-                        data,
-                        plan,
-                        &policy,
+                        &step,
                         trie,
                         pos,
                         frontier.clone(),
                         self.config.chunk_size,
-                        vwarp,
                         &mut level_counts,
                         &mut sink,
                     )?;
                     chunked_total = Some(total);
                     break;
                 }
-                Err(e) => return Err(e.into()),
             }
         }
 
@@ -952,24 +847,14 @@ impl<'d> ExecSession<'d> {
             }
             None => 0, // frontier drained before reaching full depth
         };
-
-        let counters = counter_sink.snapshot();
-        let sim_millis = CostModel::default().millis(&counters, self.device.config());
-        Ok(MatchResult {
-            num_matches,
-            level_counts,
-            counters,
-            sim_millis,
-            wall_millis: wall_start.elapsed().as_secs_f64() * 1e3,
-            used_chunking,
-            order: order.order.clone(),
-        })
+        Ok((num_matches, level_counts, used_chunking))
     }
 
-    /// Computes the plan-time kernel policy for running `plan` over
-    /// `data`, emitting one `policy` obs event per level (plus the
-    /// prefilter verdict) when tracing is on.
-    fn resolve_policy(&self, plan: &QueryPlan, data: &Graph) -> KernelPolicy {
+    /// The run-wide inputs of [`Self::expand_level`] for running `plan`
+    /// over `data`. Resolves the plan-time kernel policy, emitting one
+    /// `policy` obs event per level (plus the prefilter verdict) when
+    /// tracing is on.
+    fn level_step<'a>(&self, plan: &'a QueryPlan, data: &'a Graph) -> LevelStep<'a> {
         let policy = plan.kernel_policy(&data.profile());
         let trace = self.device.trace();
         if trace.is_enabled() {
@@ -994,7 +879,56 @@ impl<'d> ExecSession<'d> {
                 &[],
             );
         }
-        policy
+        LevelStep {
+            data,
+            plan,
+            policy,
+            vwarp: self.config.virtual_warp.width(data.avg_out_degree()),
+        }
+    }
+
+    /// One expansion step — the only place a level is expanded: extends
+    /// `frontier` (entries at depth `pos - 1`) by the query vertex at
+    /// `pos` inside one `level` span and seals the new level. An attempt
+    /// that overflows the trie is rolled back: it commits no paths, and
+    /// its span says so.
+    fn expand_level(
+        &self,
+        step: &LevelStep<'_>,
+        trie: &mut Trie,
+        pos: usize,
+        frontier: Range<usize>,
+        placement: Option<&[u32]>,
+    ) -> Result<Expanded, DeviceError> {
+        let mut lspan = level_span(self.device.trace(), pos, frontier.len());
+        let pre_len = trie.table().len();
+        let params = ExpandParams {
+            data: step.data,
+            plan: &step.plan.order,
+            pos,
+            vwarp: step.vwarp,
+            method: step.policy.method_at(pos),
+            shared_words: self.class.shared_mem_words_per_block,
+            placement,
+            max_blocks: self.config.max_blocks,
+        };
+        match expand_range(self.device, trie, frontier, &params) {
+            Ok(()) => {
+                let lvl = trie.seal_level();
+                if let Some(s) = &mut lspan {
+                    s.arg("paths", Arg::U64(lvl.len() as u64));
+                }
+                Ok(Expanded::Sealed(lvl))
+            }
+            Err(DeviceError::BufferOverflow { .. }) => {
+                trie.table().truncate(pre_len);
+                if let Some(s) = &mut lspan {
+                    s.arg("paths", Arg::U64(0));
+                }
+                Ok(Expanded::Overflow(lspan))
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// Shuffled frontier placement when configured (§4.1.2: randomising
@@ -1017,70 +951,44 @@ impl<'d> ExecSession<'d> {
     #[allow(clippy::too_many_arguments)]
     fn process_chunks(
         &self,
-        data: &Graph,
-        plan: &QueryPlan,
-        policy: &KernelPolicy,
+        step: &LevelStep<'_>,
         trie: &mut Trie,
         pos: usize,
         frontier: Range<usize>,
         chunk_size: usize,
-        vwarp: usize,
         level_counts: &mut [u64],
         sink: &mut Option<MatchSink<'_>>,
     ) -> Result<u64, EngineError> {
-        let n = plan.len();
-        if pos == n {
+        if pos == step.plan.len() {
             if let Some(sink) = sink.as_mut() {
-                self.emit_level(trie, &plan.order, frontier.clone(), sink);
+                self.emit_level(trie, &step.plan.order, frontier.clone(), sink);
             }
             return Ok(frontier.len() as u64);
         }
         let mut total = 0u64;
-        let trace = self.device.trace();
         for chunk in cuts_trie::Chunks::new(frontier, chunk_size) {
-            let mut lspan = level_span(trace, pos, chunk.len());
-            let pre_len = trie.table().len();
-            let params = ExpandParams {
-                data,
-                plan: &plan.order,
-                pos,
-                vwarp,
-                method: policy.method_at(pos),
-                shared_words: self.class.shared_mem_words_per_block,
-                placement: None,
-                max_blocks: self.config.max_blocks,
-            };
-            match expand_range(self.device, trie, chunk.clone(), &params) {
-                Ok(()) => {
-                    let lvl = trie.seal_level();
+            match self.expand_level(step, trie, pos, chunk.clone(), None)? {
+                Expanded::Sealed(lvl) => {
                     level_counts[pos] += lvl.len() as u64;
-                    if let Some(mut s) = lspan.take() {
-                        s.arg("paths", Arg::U64(lvl.len() as u64));
-                    }
                     total += self.process_chunks(
-                        data,
-                        plan,
-                        policy,
+                        step,
                         trie,
                         pos + 1,
                         lvl,
                         chunk_size,
-                        vwarp,
                         level_counts,
                         sink,
                     )?;
                     trie.pop_levels(1);
                 }
-                Err(DeviceError::BufferOverflow { .. }) => {
-                    trie.table().truncate(pre_len);
-                    if let Some(mut s) = lspan.take() {
-                        s.arg("paths", Arg::U64(0));
+                Expanded::Overflow(lspan) => {
+                    if let Some(mut s) = lspan {
                         s.arg("halved", Arg::U64(1));
                     }
                     if chunk.len() == 1 {
                         return Err(EngineError::CapacityExhausted { depth: pos });
                     }
-                    trace.instant_with(
+                    self.device.trace().instant_with(
                         EventKind::Trie,
                         "halve",
                         &[
@@ -1090,19 +998,15 @@ impl<'d> ExecSession<'d> {
                     );
                     // Halve locally and retry this chunk.
                     total += self.process_chunks(
-                        data,
-                        plan,
-                        policy,
+                        step,
                         trie,
                         pos,
                         chunk.clone(),
                         (chunk.len() / 2).max(1),
-                        vwarp,
                         level_counts,
                         sink,
                     )?;
                 }
-                Err(e) => return Err(e.into()),
             }
         }
         Ok(total)
@@ -1133,7 +1037,7 @@ impl<'d> ExecSession<'d> {
 /// Opens the trace span of one expansion step at depth `pos` (a whole
 /// BFS level or one hybrid chunk) over `frontier` entries; the caller
 /// adds the `paths` it committed. `None` when tracing is off.
-fn level_span(trace: &cuts_obs::Trace, pos: usize, frontier: usize) -> Option<cuts_obs::Span> {
+fn level_span(trace: &cuts_obs::Trace, pos: usize, frontier: usize) -> Option<Span> {
     if !trace.is_enabled() {
         return None;
     }
@@ -1155,8 +1059,288 @@ impl std::fmt::Debug for ExecSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::IntersectStrategy;
+    use crate::reference;
     use cuts_gpu_sim::DeviceConfig;
-    use cuts_graph::generators::{clique, erdos_renyi, mesh2d};
+    use cuts_graph::generators::{chain, clique, cycle, erdos_renyi, mesh2d, star};
+
+    fn session(device: &Device) -> ExecSession<'_> {
+        ExecSession::new(device, EngineConfig::default())
+    }
+
+    /// `execute` with the session's cached plan for `query`.
+    fn execute(
+        session: &ExecSession<'_>,
+        data: &Graph,
+        query: &Graph,
+        seed: Option<&HostTrie>,
+        sink: Option<MatchSink<'_>>,
+    ) -> MatchResult {
+        let plan = session.plan_for(query).unwrap();
+        session.execute(&plan, data, seed, sink).unwrap()
+    }
+
+    /// Every level-0 candidate of `query` in `data`, as depth-1 paths.
+    fn roots(data: &Graph, query: &Graph) -> Vec<Vec<u32>> {
+        let order = crate::order::MatchOrder::compute(query).unwrap();
+        (0..data.num_vertices() as u32)
+            .filter(|&v| data.degree_dominates(v, order.q_out[0], order.q_in[0]))
+            .map(|v| vec![v])
+            .collect()
+    }
+
+    fn check_against_reference(data: &Graph, query: &Graph) {
+        let device = Device::new(DeviceConfig::test_small());
+        let got = session(&device).run(data, query).unwrap();
+        let want = reference::count_embeddings(data, query);
+        assert_eq!(got.num_matches, want, "engine vs reference");
+    }
+
+    #[test]
+    fn triangles_in_k4() {
+        let device = Device::new(DeviceConfig::test_small());
+        // Triangles in K4: 4 x 3 x 2 ordered embeddings.
+        let r = session(&device).run(&clique(4), &clique(3)).unwrap();
+        assert_eq!(r.num_matches, 24);
+        assert!(!r.used_chunking);
+        assert_eq!(r.level_counts, vec![4, 12, 24]);
+    }
+
+    #[test]
+    fn matches_reference_on_varied_pairs() {
+        let mesh = mesh2d(4, 4);
+        let er = erdos_renyi(40, 120, 3);
+        for query in [chain(3), chain(4), clique(3), clique(4), cycle(4), star(4)] {
+            check_against_reference(&mesh, &query);
+            check_against_reference(&er, &query);
+        }
+    }
+
+    #[test]
+    fn strategies_agree() {
+        let data = erdos_renyi(60, 240, 9);
+        let query = cycle(4);
+        let device = Device::new(DeviceConfig::test_small());
+        let mut counts = Vec::new();
+        for s in [
+            IntersectStrategy::Auto,
+            IntersectStrategy::Bitmap,
+            IntersectStrategy::CIntersection,
+            IntersectStrategy::PIntersection,
+        ] {
+            let session = ExecSession::new(&device, EngineConfig::default().with_intersect(s));
+            counts.push(session.run(&data, &query).unwrap().num_matches);
+        }
+        assert_eq!(counts[0], counts[1]);
+        assert_eq!(counts[1], counts[2]);
+    }
+
+    #[test]
+    fn chunking_triggered_and_correct() {
+        // Tiny trie forces the hybrid path; count must be unchanged.
+        let data = erdos_renyi(50, 250, 5);
+        let query = chain(4);
+        let big = Device::new(DeviceConfig::test_small());
+        let expect = session(&big).run(&data, &query).unwrap();
+        assert!(!expect.used_chunking);
+
+        let small = Device::new(DeviceConfig::test_small().with_global_mem_words(2048));
+        let tight = ExecSession::new(
+            &small,
+            EngineConfig::default()
+                .with_chunk_size(8)
+                .with_trie_fraction(0.9),
+        );
+        let got = tight.run(&data, &query).unwrap();
+        assert!(got.used_chunking, "expected hybrid fallback");
+        assert_eq!(got.num_matches, expect.num_matches);
+        assert_eq!(got.level_counts, expect.level_counts);
+    }
+
+    #[test]
+    fn enumeration_yields_valid_embeddings() {
+        let data = mesh2d(3, 3);
+        let query = cycle(4);
+        let device = Device::new(DeviceConfig::test_small());
+        let mut seen = Vec::new();
+        let r = execute(
+            &session(&device),
+            &data,
+            &query,
+            None,
+            Some(&mut |m| seen.push(m.to_vec())),
+        );
+        assert_eq!(seen.len() as u64, r.num_matches);
+        for m in &seen {
+            // Injective.
+            let mut s = m.clone();
+            s.sort_unstable();
+            s.dedup();
+            assert_eq!(s.len(), m.len());
+            // Edge-preserving.
+            for (u, v) in query.edges() {
+                assert!(data.has_edge(m[u as usize], m[v as usize]));
+            }
+        }
+        // 4-cycles in a 3x3 mesh: 4 squares × 8 automorphic orderings.
+        assert_eq!(r.num_matches, 32);
+    }
+
+    #[test]
+    fn enumeration_consistent_under_chunking() {
+        let data = erdos_renyi(40, 160, 11);
+        let query = chain(4);
+        let big = Device::new(DeviceConfig::test_small());
+        let mut a = Vec::new();
+        execute(
+            &session(&big),
+            &data,
+            &query,
+            None,
+            Some(&mut |m| a.push(m.to_vec())),
+        );
+        let small = Device::new(DeviceConfig::test_small().with_global_mem_words(2048));
+        let tight = ExecSession::new(&small, EngineConfig::default().with_chunk_size(4));
+        let mut b = Vec::new();
+        execute(
+            &tight,
+            &data,
+            &query,
+            None,
+            Some(&mut |m| b.push(m.to_vec())),
+        );
+        a.sort();
+        b.sort();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn no_match_is_zero() {
+        // K6 needs degree 5; a mesh's maximum degree is 4.
+        let device = Device::new(DeviceConfig::test_small());
+        let r = session(&device).run(&mesh2d(4, 4), &clique(6)).unwrap();
+        assert_eq!(r.num_matches, 0);
+    }
+
+    #[test]
+    fn single_vertex_query() {
+        let device = Device::new(DeviceConfig::test_small());
+        let g = Graph::undirected(5, &[(0, 1), (1, 2)]);
+        let q = Graph::undirected(1, &[]);
+        // Every vertex matches a degree-0 query vertex.
+        let r = session(&device).run(&g, &q).unwrap();
+        assert_eq!(r.num_matches, 5);
+    }
+
+    #[test]
+    fn randomization_does_not_change_counts() {
+        let data = erdos_renyi(50, 200, 21);
+        let query = clique(3);
+        let device = Device::new(DeviceConfig::test_small());
+        let count = |randomize: bool| {
+            ExecSession::new(
+                &device,
+                EngineConfig::default().with_randomize_placement(randomize),
+            )
+            .run(&data, &query)
+            .unwrap()
+            .num_matches
+        };
+        assert_eq!(count(true), count(false));
+    }
+
+    #[test]
+    fn capacity_exhausted_when_hopeless() {
+        // Device so small even chunk size 1 cannot expand.
+        let device = Device::new(DeviceConfig::test_small().with_global_mem_words(40));
+        match session(&device).run(&clique(8), &clique(4)) {
+            Err(EngineError::CapacityExhausted { .. }) | Err(EngineError::Device(_)) => {}
+            other => panic!("expected capacity failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn seeded_runs_partition_the_count() {
+        // Splitting the root-candidate set across seeded runs must
+        // partition the total count (the §4.2 distribution invariant).
+        let data = erdos_renyi(40, 160, 2);
+        let query = clique(3);
+        let device = Device::new(DeviceConfig::test_small());
+        let session = session(&device);
+        let full = session.run(&data, &query).unwrap();
+        let roots = roots(&data, &query);
+        assert_eq!(roots.len() as u64, full.level_counts[0]);
+        let mid = roots.len() / 2;
+        let a = HostTrie::from_flat_paths(&roots[..mid]);
+        let b = HostTrie::from_flat_paths(&roots[mid..]);
+        let ca = execute(&session, &data, &query, Some(&a), None);
+        let cb = execute(&session, &data, &query, Some(&b), None);
+        assert_eq!(ca.num_matches + cb.num_matches, full.num_matches);
+    }
+
+    #[test]
+    fn seeded_run_with_deeper_paths() {
+        // Seed with every depth-2 partial path that passes the degree
+        // filter; completion count and level counts must match.
+        let data = mesh2d(3, 3);
+        let query = chain(4);
+        let device = Device::new(DeviceConfig::test_small());
+        let session = session(&device);
+        let full = session.run(&data, &query).unwrap();
+        let order = crate::order::MatchOrder::compute(&query).unwrap();
+        let mut prefix_paths = Vec::new();
+        for v in 0..data.num_vertices() as u32 {
+            if !data.degree_dominates(v, order.q_out[0], order.q_in[0]) {
+                continue;
+            }
+            for &w in data.out_neighbors(v) {
+                if data.degree_dominates(w, order.q_out[1], order.q_in[1]) && w != v {
+                    prefix_paths.push(vec![v, w]);
+                }
+            }
+        }
+        let seed = HostTrie::from_flat_paths(&prefix_paths);
+        let seeded = execute(&session, &data, &query, Some(&seed), None);
+        assert_eq!(seeded.num_matches, full.num_matches);
+        assert_eq!(seeded.level_counts, full.level_counts);
+    }
+
+    #[test]
+    fn expand_seed_once_matches_full_run_levels() {
+        let data = erdos_renyi(40, 160, 2);
+        let query = clique(3);
+        let device = Device::new(DeviceConfig::test_small());
+        let session = session(&device);
+        let full = session.run(&data, &query).unwrap();
+        // Seed with all roots, expand once: level-2 count must match.
+        let seed = HostTrie::from_flat_paths(&roots(&data, &query));
+        let plan = session.plan_for(&query).unwrap();
+        let expanded = session.expand_seed_once(&plan, &data, &seed).unwrap();
+        assert_eq!(expanded.levels.len(), 2);
+        assert_eq!(
+            expanded.levels[1].len() as u64,
+            full.level_counts[1],
+            "one-level expansion disagrees with the full run"
+        );
+        // Completing the expanded seed reproduces the full count.
+        let done = session
+            .execute(&plan, &data, Some(&expanded), None)
+            .unwrap();
+        assert_eq!(done.num_matches, full.num_matches);
+    }
+
+    #[test]
+    fn directed_semantics() {
+        // Directed triangle query in a directed 6-cycle: none.
+        let data = Graph::directed(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]);
+        let tri = Graph::directed(3, &[(0, 1), (1, 2), (2, 0)]);
+        let device = Device::new(DeviceConfig::test_small());
+        let session = session(&device);
+        assert_eq!(session.run(&data, &tri).unwrap().num_matches, 0);
+        // Directed 3-cycle data: 3 rotations match.
+        let d3 = Graph::directed(3, &[(0, 1), (1, 2), (2, 0)]);
+        assert_eq!(session.run(&d3, &tri).unwrap().num_matches, 3);
+    }
 
     #[test]
     fn warm_runs_reuse_buffers_and_plans() {
@@ -1187,49 +1371,21 @@ mod tests {
     }
 
     #[test]
-    fn batch_runs_plan_once() {
-        let device = Device::new(DeviceConfig::test_small());
-        let session = ExecSession::new(&device, EngineConfig::default());
-        let datas = vec![clique(4), mesh2d(3, 3), erdos_renyi(30, 90, 7)];
-        let batch = session.run_batch(&datas, &clique(3));
-        assert_eq!(batch.len(), 3);
-        for (data, r) in datas.iter().zip(&batch) {
-            let r = r.as_ref().expect("per-job result is Ok");
-            let fresh = ExecSession::new(&device, EngineConfig::default())
-                .run(data, &clique(3))
-                .unwrap();
-            assert_eq!(r.num_matches, fresh.num_matches);
-        }
-        let s = session.stats();
-        assert_eq!(s.plans.misses, 1, "one plan serves the whole batch");
-        assert_eq!(s.arena.expect("arena carved").device_allocs, 1);
-    }
-
-    #[test]
-    fn batch_with_unplannable_query_fails_per_job() {
-        let device = Device::new(DeviceConfig::test_small());
-        let session = ExecSession::new(&device, EngineConfig::default());
-        let datas = vec![clique(4), mesh2d(3, 3)];
-        let disconnected = Graph::undirected(4, &[(0, 1), (2, 3)]);
-        let batch = session.run_batch(&datas, &disconnected);
-        assert_eq!(batch.len(), 2);
-        for r in &batch {
-            assert!(matches!(r, Err(EngineError::DisconnectedQuery)));
-        }
-    }
-
-    #[test]
-    fn sized_runs_match_default_runs() {
+    fn exact_capacity_runs_match_default_runs() {
         let device = Device::new(DeviceConfig::test_small());
         let session = ExecSession::new(&device, EngineConfig::default());
         let data = erdos_renyi(30, 90, 7);
         let query = clique(3);
         let baseline = session.run(&data, &query).unwrap();
         let plan = session.plan_for(&query).unwrap();
-        // Any capacity large enough to avoid spilling gives identical
-        // counts; a deliberately tiny one still matches via chunking.
+        // A chain of exactly `entries` with no room to grow: any capacity
+        // large enough to avoid spilling gives identical counts; a
+        // deliberately tiny one still matches via chunking.
         for entries in [256usize, 4096] {
-            let r = session.run_with_plan_sized(&plan, &data, entries).unwrap();
+            let (r, achieved) = session
+                .run_with_plan_budgeted(&plan, &data, entries, entries, &GrantAll)
+                .unwrap();
+            assert_eq!(achieved, entries, "an exact-capacity chain never grows");
             assert_eq!(r.num_matches, baseline.num_matches);
             assert_eq!(r.level_counts, baseline.level_counts);
         }

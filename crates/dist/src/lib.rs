@@ -16,18 +16,19 @@
 //! node through the claim/ack [`protocol`] ("only one busy node sends data
 //! to a given free node, and a given busy node only sends data to one free
 //! node"). Donated work travels as a serialised trie
-//! ([`cuts_trie::serial`]), which the receiver integrates and resumes via
-//! [`cuts_core::CutsEngine::run_seeded`].
+//! ([`cuts_trie::serial`]), which the receiver integrates and resumes as
+//! the seed of [`cuts_core::ExecSession::execute`].
 //!
 //! Beyond the paper, the runtime is fault-tolerant: [`fault`] injects
-//! deterministic rank crashes, message drops, and delays; [`ledger`]
-//! tracks chunk ownership so survivors reclaim a dead rank's pending
-//! work; and any schedule that leaves one rank alive completes with the
-//! exact fault-free match count (see `DESIGN.md` §7).
+//! deterministic rank crashes, message drops, and delays; the
+//! [`ChunkLedger`] tracks chunk ownership so survivors reclaim a dead
+//! rank's pending work; and any schedule that leaves one rank alive
+//! completes with the exact fault-free match count (see `DESIGN.md` §7).
+//! Both live in `cuts-core`, shared with the serving tier.
+
+use cuts_trie::HostTrie;
 
 pub mod config;
-pub mod fault;
-pub mod ledger;
 pub mod metrics;
 pub mod mpi;
 pub mod protocol;
@@ -36,8 +37,16 @@ pub mod sync_runner;
 pub mod worker;
 
 pub use config::DistConfig;
+pub use cuts_core::fault;
+pub use cuts_core::ledger::AliveBoard;
 pub use fault::{FaultInjector, FaultPlan};
-pub use ledger::{AliveBoard, ChunkId, ChunkLedger};
+
+/// Stable identity of one chunk of outer-loop work.
+pub type ChunkId = cuts_core::ledger::WorkId;
+
+/// Shared chunk-ownership and result store: the generic
+/// [`cuts_core::ledger::WorkLedger`] over path-batch [`HostTrie`] chunks.
+pub type ChunkLedger = cuts_core::ledger::WorkLedger<HostTrie>;
 pub use metrics::{DistResult, RankMetrics, RecoveryStats};
 pub use mpi::{Comm, Message};
 pub use runner::run;

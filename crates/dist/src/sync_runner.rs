@@ -96,7 +96,8 @@ pub fn run_synchronous(
             }
             let seed = HostTrie::from_flat_paths(&frontiers[r]);
             let scope = devices[r].counter_scope();
-            let expanded = sessions[r].expand_seed_once(data, query, &seed)?;
+            let query_plan = sessions[r].plan_for(query)?;
+            let expanded = sessions[r].expand_seed_once(&query_plan, data, &seed)?;
             let counters = scope.elapsed(&devices[r]);
             let t = cuts_gpu_sim::CostModel::default().millis(&counters, devices[r].config());
             level_times[r] = t;
@@ -156,7 +157,7 @@ pub fn run_synchronous(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cuts_core::CutsEngine;
+    use cuts_core::{EngineConfig, ExecSession};
     use cuts_gpu_sim::DeviceConfig;
     use cuts_graph::generators::{barabasi_albert, clique, erdos_renyi};
 
@@ -172,7 +173,7 @@ mod tests {
         let data = erdos_renyi(50, 200, 31);
         let query = clique(3);
         let device = Device::new(DeviceConfig::test_small());
-        let want = CutsEngine::new(&device)
+        let want = ExecSession::new(&device, EngineConfig::default())
             .run(&data, &query)
             .unwrap()
             .num_matches;

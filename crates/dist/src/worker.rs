@@ -4,7 +4,7 @@
 //!
 //! Fault tolerance rests on three mechanisms:
 //!
-//! 1. **The chunk ledger** ([`crate::ledger::ChunkLedger`]): every chunk
+//! 1. **The chunk ledger** ([`crate::ChunkLedger`]): every chunk
 //!    of work is registered before any rank starts, every hand-off is a
 //!    ledger transfer, and every result is an idempotent per-chunk
 //!    commit. `total_matches` is the ledger sum, so duplicated or
@@ -39,10 +39,10 @@ use cuts_trie::HostTrie;
 
 use crate::config::DistConfig;
 use crate::fault::{CrashKind, FaultInjector};
-use crate::ledger::{AliveBoard, ChunkId, ChunkLedger};
 use crate::metrics::RankMetrics;
 use crate::mpi::{Comm, Rank};
 use crate::protocol::{tag, DonatedChunk, Status, StatusBoard, WorkPayload};
+use crate::{AliveBoard, ChunkId, ChunkLedger};
 
 /// How root candidates are split across ranks at start-up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -435,7 +435,8 @@ impl<'a> Worker<'a> {
         if job.is_empty() {
             return Ok(0);
         }
-        let r = session.run_seeded(self.data, self.query, job)?;
+        let plan = session.plan_for(self.query)?;
+        let r = session.execute(&plan, self.data, Some(job), None)?;
         self.metrics.busy_sim_millis += r.sim_millis;
         self.metrics.busy_wall_millis += r.wall_millis;
         self.metrics.counters += r.counters;
@@ -455,7 +456,8 @@ impl<'a> Worker<'a> {
     /// (the caller then processes the job whole, which may still succeed
     /// through the engine's own chunking).
     fn deepen_job(&self, session: &ExecSession<'_>, job: &HostTrie) -> Option<Vec<HostTrie>> {
-        let expanded = session.expand_seed_once(self.data, self.query, job).ok()?;
+        let plan = session.plan_for(self.query).ok()?;
+        let expanded = session.expand_seed_once(&plan, self.data, job).ok()?;
         let frontier_len = expanded.levels.last().map(|l| l.len()).unwrap_or(0);
         if frontier_len == 0 {
             return Some(Vec::new());

@@ -19,12 +19,12 @@ fn main() {
     // The query: a triangle.
     let triangle = clique(3);
 
-    // A simulated device (paper-shaped: V100). The engine allocates its
+    // A simulated device (paper-shaped: V100). The session allocates its
     // PA/CA trie from the device's free memory, exactly like the paper.
     let device = Device::new(DeviceConfig::v100_like());
-    let engine = CutsEngine::new(&device);
+    let session = ExecSession::new(&device, EngineConfig::default());
 
-    let result = engine.run(&social, &triangle).expect("run failed");
+    let result = session.run(&social, &triangle).expect("run failed");
     println!(
         "triangle embeddings: {} (each triangle counted once per automorphism: 6)",
         result.num_matches
@@ -45,13 +45,21 @@ fn main() {
 
     // Enumerate a few concrete matches.
     println!("\nfirst five embeddings (query vertex -> data vertex):");
+    // `run` plans and executes in one call; `execute` takes an explicit
+    // plan plus an optional seed trie and an optional embedding sink.
     let mut shown = 0;
-    engine
-        .run_enumerate(&social, &triangle, &mut |m| {
-            if shown < 5 {
-                println!("  q0->{} q1->{} q2->{}", m[0], m[1], m[2]);
-                shown += 1;
-            }
-        })
+    let plan = session.plan_for(&triangle).expect("plan failed");
+    session
+        .execute(
+            &plan,
+            &social,
+            None,
+            Some(&mut |m| {
+                if shown < 5 {
+                    println!("  q0->{} q1->{} q2->{}", m[0], m[1], m[2]);
+                    shown += 1;
+                }
+            }),
+        )
         .expect("enumeration failed");
 }

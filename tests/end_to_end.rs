@@ -31,7 +31,10 @@ fn all_engines_agree_on_all_datasets() {
             // compare counts where every engine completes).
             let roomy = Device::new(DeviceConfig::test_small().with_global_mem_words(32 << 20));
             let want = reference::count_embeddings(&data, &q);
-            let cuts = CutsEngine::new(&device).run(&data, &q).unwrap().num_matches;
+            let cuts = ExecSession::new(&device, EngineConfig::default())
+                .run(&data, &q)
+                .unwrap()
+                .num_matches;
             assert_eq!(cuts, want, "cuts vs reference on {ds}");
             let gsi = GsiEngine::new(&roomy).run(&data, &q).unwrap().num_matches;
             assert_eq!(gsi, want, "gsi vs reference on {ds}");
@@ -53,7 +56,7 @@ fn paper_query_suite_on_enron_standin() {
     // The 5-vertex top-11 suite end-to-end against the reference.
     let data = Dataset::Enron.generate(Scale::Custom(1.0 / 2048.0));
     let device = tiny_device();
-    let engine = CutsEngine::new(&device);
+    let engine = ExecSession::new(&device, EngineConfig::default());
     for q in query_set(5, 11) {
         let want = reference::count_embeddings(&data, &q.graph);
         let got = engine.run(&data, &q.graph).unwrap().num_matches;
@@ -65,7 +68,7 @@ fn paper_query_suite_on_enron_standin() {
 fn distributed_equals_single_node_on_suite() {
     let data = Dataset::Gowalla.generate(Scale::Custom(1.0 / 2048.0));
     let device = tiny_device();
-    let engine = CutsEngine::new(&device);
+    let engine = ExecSession::new(&device, EngineConfig::default());
     let config = cuts::dist::DistConfig {
         device: DeviceConfig::test_small(),
         dist_chunk: 8,
@@ -87,11 +90,13 @@ fn chunked_and_unchunked_agree_on_standins() {
     let data = Dataset::WikiTalk.generate(Scale::Custom(1.0 / 4096.0));
     let q = clique(4);
     let roomy = tiny_device();
-    let want = CutsEngine::new(&roomy).run(&data, &q).unwrap();
+    let want = ExecSession::new(&roomy, EngineConfig::default())
+        .run(&data, &q)
+        .unwrap();
     // Find a budget that forces chunking but still completes.
     let need = 2 * want.level_counts.iter().sum::<u64>() as usize;
     let tight = Device::new(DeviceConfig::test_small().with_global_mem_words(need / 2));
-    let got = CutsEngine::with_config(
+    let got = ExecSession::new(
         &tight,
         cuts::engine::EngineConfig::default().with_chunk_size(16),
     )
@@ -107,7 +112,9 @@ fn storage_accounting_matches_run() {
     // The MatchResult's space view must equal recomputing from counts.
     let data = Dataset::RoadNetPA.generate(Scale::Custom(1.0 / 2048.0));
     let device = tiny_device();
-    let r = CutsEngine::new(&device).run(&data, &chain(4)).unwrap();
+    let r = ExecSession::new(&device, EngineConfig::default())
+        .run(&data, &chain(4))
+        .unwrap();
     let counts = cuts::trie::space::LevelCounts(r.level_counts.clone());
     assert_eq!(r.cuts_words(), counts.cuts_words(r.level_counts.len()));
     assert_eq!(r.naive_words(), counts.naive_words(r.level_counts.len()));
@@ -123,8 +130,10 @@ fn enumeration_roundtrips_through_wire_format() {
     let q = clique(3);
     let device = tiny_device();
     let mut paths = Vec::new();
-    CutsEngine::new(&device)
-        .run_enumerate(&data, &q, &mut |m| paths.push(m.to_vec()))
+    let session = ExecSession::new(&device, EngineConfig::default());
+    let plan = session.plan_for(&q).unwrap();
+    session
+        .execute(&plan, &data, None, Some(&mut |m| paths.push(m.to_vec())))
         .unwrap();
     let host = cuts::trie::HostTrie::from_flat_paths(&paths);
     let bytes = cuts::trie::serial::encode_trie(&host);
@@ -143,7 +152,7 @@ fn star_queries_and_hubs() {
     // of star(k), so large k on a hubby graph is combinatorially explosive.
     let data = Dataset::RoadNetPA.generate(Scale::Custom(1.0 / 2048.0));
     let device = tiny_device();
-    let engine = CutsEngine::new(&device);
+    let engine = ExecSession::new(&device, EngineConfig::default());
     for k in [3usize, 4] {
         let q = star(k);
         let want = reference::count_embeddings(&data, &q);

@@ -69,9 +69,7 @@ const STRATEGIES: [IntersectStrategy; 4] = [
 
 fn run(data: &Graph, query: &Graph, config: EngineConfig) -> MatchResult {
     let device = Device::new(DeviceConfig::test_small());
-    CutsEngine::with_config(&device, config)
-        .run(data, query)
-        .unwrap()
+    ExecSession::new(&device, config).run(data, query).unwrap()
 }
 
 #[test]
@@ -190,7 +188,7 @@ fn sibling_groups_agree_across_placement_and_chunking() {
                         );
 
                         let device = Device::new(tight.clone());
-                        let got = CutsEngine::with_config(&device, config.with_chunk_size(7))
+                        let got = ExecSession::new(&device, config.with_chunk_size(7))
                             .run(&data, &query)
                             .unwrap();
                         chunked_runs += usize::from(got.used_chunking);
@@ -225,19 +223,19 @@ fn seeded_runs_agree_across_strategies() {
                 let device = Device::new(DeviceConfig::test_small());
                 let session =
                     ExecSession::new(&device, EngineConfig::default().with_intersect(strat));
-                let order = &session.plan_for(&query).unwrap().order;
+                let plan = session.plan_for(&query).unwrap();
                 let roots: Vec<Vec<u32>> = (0..data.num_vertices() as u32)
-                    .filter(|&v| order.root_passes(&data, v))
+                    .filter(|&v| plan.order.root_passes(&data, v))
                     .map(|v| vec![v])
                     .collect();
                 let roots = HostTrie::from_flat_paths(&roots);
-                let from_roots = session.run_seeded(&data, &query, &roots).unwrap();
+                let from_roots = session.execute(&plan, &data, Some(&roots), None).unwrap();
                 assert_eq!(
                     from_roots.num_matches, want,
                     "{dname}/{qname}: {strat:?} roots"
                 );
-                let deeper = session.expand_seed_once(&data, &query, &roots).unwrap();
-                let from_deeper = session.run_seeded(&data, &query, &deeper).unwrap();
+                let deeper = session.expand_seed_once(&plan, &data, &roots).unwrap();
+                let from_deeper = session.execute(&plan, &data, Some(&deeper), None).unwrap();
                 assert_eq!(
                     from_deeper.num_matches, want,
                     "{dname}/{qname}: {strat:?} depth 2"

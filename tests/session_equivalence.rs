@@ -1,9 +1,10 @@
 //! Plan/session equivalence suite: the QueryPlan / ExecSession split is
 //! a pure restructuring of the execution pipeline, so every reuse path —
-//! plan-cache hits, warm sessions over arena slab chains, batched runs,
-//! and fault-recovery replays in the distributed runtime — must produce
-//! results bit-identical to a fresh one-shot engine, and warm runs must
-//! perform **zero** new device allocations.
+//! plan-cache hits, warm sessions over arena slab chains, one plan over
+//! many data graphs, every seed/sink axis of `execute`, and
+//! fault-recovery replays in the distributed runtime — must produce
+//! results bit-identical to a fresh session, and warm runs must perform
+//! **zero** new device allocations.
 
 use std::time::Duration;
 
@@ -11,6 +12,7 @@ use cuts::dist::{run, DistConfig, FaultPlan, Partition};
 use cuts::graph::generators::{clique, cycle, erdos_renyi, mesh2d};
 use cuts::graph::Graph;
 use cuts::prelude::*;
+use cuts::trie::HostTrie;
 
 fn workloads() -> Vec<(&'static str, Graph, Graph)> {
     vec![
@@ -20,11 +22,12 @@ fn workloads() -> Vec<(&'static str, Graph, Graph)> {
     ]
 }
 
-/// Fresh-engine ground truth: a new device and engine per call, exactly
-/// what callers did before the session API existed.
+/// Fresh ground truth: a new device and session per call, nothing warm.
 fn fresh(data: &Graph, query: &Graph) -> MatchResult {
     let device = Device::new(DeviceConfig::test_small());
-    CutsEngine::new(&device).run(data, query).unwrap()
+    ExecSession::new(&device, EngineConfig::default())
+        .run(data, query)
+        .unwrap()
 }
 
 fn assert_same(name: &str, how: &str, got: &MatchResult, want: &MatchResult) {
@@ -113,15 +116,77 @@ fn batched_runs_equal_per_graph_fresh_runs() {
     let query = clique(3);
     let device = Device::new(DeviceConfig::test_small());
     let session = ExecSession::new(&device, EngineConfig::default());
-    let batch = session.run_batch(&graphs, &query);
-    assert_eq!(batch.len(), graphs.len());
-    for (i, (g, got)) in graphs.iter().zip(&batch).enumerate() {
-        let got = got.as_ref().expect("batch job succeeds");
+    let plan = session.plan_for(&query).unwrap();
+    for (i, g) in graphs.iter().enumerate() {
+        let got = session.run_with_plan(&plan, g).unwrap();
         let want = fresh(g, &query);
-        assert_same("batch", &format!("graph {i}"), got, &want);
+        assert_same("batch", &format!("graph {i}"), &got, &want);
     }
-    // One plan serves the whole batch.
-    assert_eq!(session.stats().plans.misses, 1);
+    // One plan and one arena carve serve the whole batch.
+    let s = session.stats();
+    assert_eq!(s.plans.misses, 1);
+    assert_eq!(s.arena.expect("arena carved").device_allocs, 1);
+}
+
+/// Every `execute` axis — seed ∈ {none, every depth-1 root, a frontier
+/// deepened once by `expand_seed_once`} × sink ∈ {none, collecting} —
+/// counts what a fresh run counts, and a collecting sink receives exactly
+/// `num_matches` embeddings, the unseeded set. Repeated on a device tight
+/// enough that the runs spill into hybrid chunks.
+#[test]
+fn execute_axes_equal_fresh_runs() {
+    let tight = DeviceConfig::test_small().with_global_mem_words(2048);
+    let mut chunked_runs = 0;
+    for (name, data, query) in workloads() {
+        let want = fresh(&data, &query);
+        let roomy = Device::new(DeviceConfig::test_small());
+        let seeder = ExecSession::new(&roomy, EngineConfig::default());
+        let plan = seeder.plan_for(&query).unwrap();
+        let roots: Vec<Vec<u32>> = (0..data.num_vertices() as u32)
+            .filter(|&v| plan.order.root_passes(&data, v))
+            .map(|v| vec![v])
+            .collect();
+        let roots = HostTrie::from_flat_paths(&roots);
+        let deepened = seeder.expand_seed_once(&plan, &data, &roots).unwrap();
+        let seeds = [
+            ("none", None),
+            ("roots", Some(&roots)),
+            ("deepened", Some(&deepened)),
+        ];
+
+        for (dev_name, dev_cfg) in [
+            ("roomy", DeviceConfig::test_small()),
+            ("tight", tight.clone()),
+        ] {
+            let device = Device::new(dev_cfg);
+            let session = ExecSession::new(&device, EngineConfig::default().with_chunk_size(8));
+            let plan = session.plan_for(&query).unwrap();
+            let mut unseeded: Option<Vec<Vec<u32>>> = None;
+            for (seed_name, seed) in seeds {
+                let how = format!("{name}: {dev_name} device, seed {seed_name}");
+                let counted = session.execute(&plan, &data, seed, None).unwrap();
+                assert_eq!(counted.num_matches, want.num_matches, "{how}, counting");
+                chunked_runs += usize::from(counted.used_chunking);
+
+                let mut seen = Vec::new();
+                let collected = session
+                    .execute(&plan, &data, seed, Some(&mut |m| seen.push(m.to_vec())))
+                    .unwrap();
+                assert_eq!(collected.num_matches, want.num_matches, "{how}, collecting");
+                assert_eq!(
+                    seen.len() as u64,
+                    collected.num_matches,
+                    "{how}: sink count"
+                );
+                seen.sort_unstable();
+                match &unseeded {
+                    None => unseeded = Some(seen),
+                    Some(first) => assert_eq!(&seen, first, "{how}: embedding set"),
+                }
+            }
+        }
+    }
+    assert!(chunked_runs > 0, "the tight device must force chunking");
 }
 
 #[test]

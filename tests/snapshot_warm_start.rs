@@ -136,7 +136,7 @@ fn idle_warm_session_stats_render_without_lookups() {
     cuts_obs::Json::parse(&rendered).expect("stats render as valid JSON with zero lookups");
 }
 
-/// The donation-resume path (`run_seeded`) must work on a session that
+/// The donation-resume path (a seeded `execute`) must work on a session that
 /// never planned anything itself: the plan comes from the
 /// snapshot-seeded cache.
 #[test]
@@ -152,9 +152,14 @@ fn run_seeded_on_a_warm_session_builds_no_plans() {
     let plan = cold.plan_for(&query).unwrap();
     let root_q = plan.order.order[0] as usize;
     let mut roots = BTreeSet::new();
-    cold.run_enumerate(&data, &query, &mut |m| {
-        roots.insert(m[root_q]);
-    })
+    cold.execute(
+        &plan,
+        &data,
+        None,
+        Some(&mut |m| {
+            roots.insert(m[root_q]);
+        }),
+    )
     .unwrap();
     let seed_paths: Vec<Vec<u32>> = roots.into_iter().map(|r| vec![r]).collect();
     let seed = HostTrie::from_flat_paths(&seed_paths);
@@ -164,7 +169,10 @@ fn run_seeded_on_a_warm_session_builds_no_plans() {
     let warm_device = Device::new(DeviceConfig::test_small());
     let warm = ExecSession::from_snapshot(&warm_device, EngineConfig::default(), &restored);
 
-    let seeded = warm.run_seeded(restored.graph(), &query, &seed).unwrap();
+    let warm_plan = warm.plan_for(&query).unwrap();
+    let seeded = warm
+        .execute(&warm_plan, restored.graph(), Some(&seed), None)
+        .unwrap();
     assert_eq!(seeded.num_matches, full.num_matches);
 
     let s = warm.stats();
