@@ -15,8 +15,7 @@
 
 use cuts_core::prelude::*;
 use cuts_core::sched::parse_manifest;
-use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Json, Registry};
+use cuts_obs::{flight, Arg, EventKind, Json, Registry, Trace};
 use std::time::Instant;
 
 fn manifest_jobs(quick: bool) -> Vec<Job> {
@@ -105,10 +104,14 @@ fn main() {
     let off = Registry::disabled();
     let dhist = off.histogram("bench_hist_ns", &[("arm", "off")], "microbench");
     let disabled_ns = ns_per(n, |i| dhist.record(i));
-    let flight_ns = ns_per(n, |i| flight::record(FlightCode::Heartbeat, i, 0));
+    // A lifecycle instant on a disabled trace: the flight-ring write alone.
+    let off_trace = Trace::disabled();
+    let flight_ns = ns_per(n, |i| {
+        off_trace.instant_with(EventKind::Heartbeat, "beat", &[("i", Arg::U64(i))])
+    });
     flight::set_enabled(true);
     println!("  hist.record     {hist_ns:>8.1} ns   counter.inc {counter_ns:>8.1} ns");
-    println!("  disabled path   {disabled_ns:>8.1} ns   flight.record {flight_ns:>8.1} ns");
+    println!("  disabled path   {disabled_ns:>8.1} ns   flight ring {flight_ns:>8.1} ns");
 
     let out = Json::obj([
         ("bench", Json::Str("obs".into())),

@@ -9,7 +9,7 @@ use cuts_graph::generators::{chain, clique, cycle, star};
 use cuts_graph::labels::{degree_band_labels, random_labels, zipf_labels};
 use cuts_graph::stats::{degree_histogram, stats};
 use cuts_graph::{edgelist, query_set, Dataset, EdgeBatch, Graph, Scale, VertexId};
-use cuts_obs::flight::{self, FlightCode};
+use cuts_obs::flight;
 use cuts_obs::{
     chrome_trace, jsonl, Arg, Event, EventKind, Json, MetricsSnapshot, ToJson, Trace, TraceConfig,
 };
@@ -66,7 +66,7 @@ pub fn run(cmd: Command) -> Result<(), CmdError> {
             Err(e) => {
                 // Any error escaping serve is a serving incident: freeze
                 // the recorder's last events for post-mortem analysis.
-                flight::record(FlightCode::ServeErr, 0, 0);
+                Trace::disabled().instant(EventKind::Run, "serve_error");
                 if let Some(p) = flight::postmortem("serve_error") {
                     eprintln!("flight recorder: post-mortem written to {}", p.display());
                 }
@@ -958,26 +958,31 @@ fn run_flight(path: &str) -> Result<(), CmdError> {
     println!("flight dump: {path}");
     println!("  reason:  {reason}");
     println!("  events:  {}", events.len());
-    let mut census: std::collections::BTreeMap<&str, u64> = Default::default();
+    let label = |e: &Event| format!("{}/{}", e.kind.as_str(), e.name);
+    let mut census: std::collections::BTreeMap<String, u64> = Default::default();
     for e in &events {
-        *census.entry(e.code.as_str()).or_default() += 1;
+        *census.entry(label(e)).or_default() += 1;
     }
-    println!("  by code:");
-    for (code, n) in &census {
-        println!("    {code:<16} {n:>6}");
+    println!("  by kind/name:");
+    for (label, n) in &census {
+        println!("    {label:<24} {n:>6}");
     }
     const TAIL: usize = 16;
     println!("  last {} event(s):", events.len().min(TAIL));
     for e in events.iter().rev().take(TAIL).rev() {
         let rank = e.rank.map_or("-".to_string(), |r| r.to_string());
+        let args: Vec<String> = e
+            .args
+            .iter()
+            .map(|(k, v)| format!("{k}={}", Json::from(v).render()))
+            .collect();
         println!(
-            "    seq {:>6}  +{:>10} us  rank {rank:>2} lane {:>3}  {:<14} a={} b={}",
+            "    seq {:>6}  +{:>10} us  rank {rank:>2} lane {:>3}  {:<24} {}",
             e.seq,
             e.ts_us,
             e.lane,
-            e.code.as_str(),
-            e.a,
-            e.b
+            label(e),
+            args.join(" ")
         );
     }
     Ok(())
@@ -1030,14 +1035,6 @@ fn arg_u64(e: &Event, key: &str) -> u64 {
     match e.arg(key) {
         Some(Arg::U64(v)) => *v,
         _ => 0,
-    }
-}
-
-/// An `f64` argument of an event, by key.
-fn arg_f64(e: &Event, key: &str) -> f64 {
-    match e.arg(key) {
-        Some(Arg::F64(v)) => *v,
-        _ => 0.0,
     }
 }
 
@@ -1186,8 +1183,8 @@ fn profile_report(events: &[Event]) -> String {
             EventKind::Job => {
                 *job_counts.entry(e.name.clone()).or_default() += 1;
                 if e.name == "complete" {
-                    queue_ms += arg_f64(e, "queue_ms");
-                    exec_ms += arg_f64(e, "exec_ms");
+                    queue_ms += arg_u64(e, "queue_us") as f64 / 1e3;
+                    exec_ms += arg_u64(e, "exec_us") as f64 / 1e3;
                 }
             }
             EventKind::Arena => {
@@ -1642,7 +1639,9 @@ mod tests {
         let text = std::fs::read_to_string(&dumps[0]).unwrap();
         let (reason, events) = flight::parse_dump(&text).unwrap();
         assert_eq!(reason, "job_failure");
-        assert!(events.iter().any(|e| e.code == FlightCode::JobFail));
+        assert!(events
+            .iter()
+            .any(|e| e.kind == EventKind::Job && e.name == "fail"));
         run_flight(&dumps[0].to_string_lossy()).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -32,8 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cuts_graph::{generators, Graph};
-use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Counter, Json, Registry, ToJson};
+use cuts_obs::{flight, Arg, Counter, EventKind, Json, Registry, ToJson, Trace};
 
 use crate::error::CutsError;
 use crate::plan::QueryPlan;
@@ -369,9 +368,32 @@ impl Telemetry {
             .unwrap_or("default")
     }
 
-    /// Records one finished job: latency histograms, outcome and
-    /// deadline counters, flight events, and the first-failure dump.
-    pub(crate) fn on_finish(&self, class: &str, deadline: Option<Duration>, o: &JobOutcome) {
+    /// Records one finished job — the one place every executor (tier,
+    /// serial baseline, watch deltas) reports a finish: a single `job`
+    /// instant on `trace` (`complete` or `fail`, with queue and exec
+    /// time and whether a deadline was missed), latency histograms,
+    /// outcome and deadline counters, and the first-failure dump.
+    pub(crate) fn on_finish(
+        &self,
+        trace: &Trace,
+        class: &str,
+        deadline: Option<Duration>,
+        o: &JobOutcome,
+    ) {
+        let queue_us = saturating_micros(o.queue_millis);
+        let exec_us = saturating_micros(o.exec_millis);
+        let missed = deadline.map(|d| o.queue_millis + o.exec_millis > d.as_secs_f64() * 1e3);
+        // Emitted before the dump below, so the post-mortem holds it.
+        trace.instant_with(
+            EventKind::Job,
+            if o.result.is_ok() { "complete" } else { "fail" },
+            &[
+                ("job", Arg::U64(o.id.0)),
+                ("queue_us", Arg::U64(queue_us)),
+                ("exec_us", Arg::U64(exec_us)),
+                ("deadline_missed", Arg::U64((missed == Some(true)) as u64)),
+            ],
+        );
         {
             let mut cs = self.classes.lock().unwrap();
             if !cs.iter().any(|c| c == class) {
@@ -379,30 +401,21 @@ impl Telemetry {
             }
         }
         let l = [("class", class)];
-        let queue_us = saturating_micros(o.queue_millis);
-        let exec_us = saturating_micros(o.exec_millis);
         self.reg
             .histogram(M_QUEUE.0, &l, M_QUEUE.1)
             .record(queue_us);
         self.reg.histogram(M_EXEC.0, &l, M_EXEC.1).record(exec_us);
         match &o.result {
-            Ok(_) => {
-                self.reg.counter(M_COMPLETED.0, &l, M_COMPLETED.1).inc();
-                flight::record(FlightCode::JobComplete, o.id.0, exec_us);
-            }
+            Ok(_) => self.reg.counter(M_COMPLETED.0, &l, M_COMPLETED.1).inc(),
             Err(_) => {
                 self.reg.counter(M_FAILED.0, &l, M_FAILED.1).inc();
-                flight::record(FlightCode::JobFail, o.id.0, o.lane as u64);
                 self.dump_once("job_failure");
             }
         }
-        if let Some(d) = deadline {
-            if o.queue_millis + o.exec_millis <= d.as_secs_f64() * 1e3 {
-                self.reg.counter(M_DL_HIT.0, &l, M_DL_HIT.1).inc();
-            } else {
-                self.reg.counter(M_DL_MISS.0, &l, M_DL_MISS.1).inc();
-                flight::record(FlightCode::DeadlineMiss, o.id.0, queue_us + exec_us);
-            }
+        match missed {
+            Some(false) => self.reg.counter(M_DL_HIT.0, &l, M_DL_HIT.1).inc(),
+            Some(true) => self.reg.counter(M_DL_MISS.0, &l, M_DL_MISS.1).inc(),
+            None => {}
         }
     }
 

@@ -47,7 +47,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use cuts_gpu_sim::{Device, DeviceConfig};
-use cuts_obs::flight::{self, FlightCode};
 use cuts_obs::{Arg, Counter, EventKind, Json, Registry, ToJson, Trace};
 
 use crate::config::EngineConfig;
@@ -584,6 +583,8 @@ impl GrowthLedger for ServeLaneLedger<'_, '_> {
 
 struct RankState<'e> {
     devs: Vec<ServeDev<'e>>,
+    /// The tier's trace tagged with this rank.
+    trace: Trace,
     inbox: Mutex<Vec<Queued>>,
     work: Condvar,
     /// Words queued in the inbox — the placement ledger's estimate of
@@ -699,12 +700,9 @@ impl<'e> ServeShared<'e, '_> {
         self.ledger.register(id, r, &seed);
         let words = self.sizing_words(&seed.job);
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        flight::record(FlightCode::JobSubmit, id, r as u64);
-        self.trace.instant_with(
-            EventKind::Job,
-            "submit",
-            &[("job", Arg::U64(id)), ("rank", Arg::U64(r as u64))],
-        );
+        self.ranks[r]
+            .trace
+            .instant_with(EventKind::Job, "submit", &[("job", Arg::U64(id))]);
         self.enqueue_to(
             r,
             Queued {
@@ -758,22 +756,13 @@ impl<'e> ServeShared<'e, '_> {
             }
         }
         self.ranks_lost.inc();
-        flight::record_rank(
-            r as u32,
-            FlightCode::RankDead,
-            rank.jobs_done.load(Ordering::Relaxed) as u64,
-            0,
-        );
-        self.trace.instant_with(
+        rank.trace.instant_with(
             EventKind::Fault,
             "rank_dead",
-            &[
-                ("rank", Arg::U64(r as u64)),
-                (
-                    "jobs_done",
-                    Arg::U64(rank.jobs_done.load(Ordering::Relaxed) as u64),
-                ),
-            ],
+            &[(
+                "jobs_done",
+                Arg::U64(rank.jobs_done.load(Ordering::Relaxed) as u64),
+            )],
         );
         self.telem.dump_once("rank_death");
         for peer in &self.ranks {
@@ -828,7 +817,6 @@ impl<'e> ServeShared<'e, '_> {
             }
             any = true;
             self.telem.migrations.inc();
-            flight::record(FlightCode::JobMigrate, q.id, me as u64);
             self.trace.instant_with(
                 EventKind::Donation,
                 "migrate",
@@ -856,12 +844,9 @@ impl<'e> ServeShared<'e, '_> {
         }
         for (id, seed) in claimed {
             self.readmissions.inc();
-            flight::record(FlightCode::JobReadmit, id, me as u64);
-            self.trace.instant_with(
-                EventKind::Job,
-                "readmit",
-                &[("job", Arg::U64(id)), ("rank", Arg::U64(me as u64))],
-            );
+            self.ranks[me]
+                .trace
+                .instant_with(EventKind::Job, "readmit", &[("job", Arg::U64(id))]);
             let words = self.sizing_words(&seed.job);
             self.enqueue_to(
                 me,
@@ -885,16 +870,8 @@ impl<'e> ServeShared<'e, '_> {
             return;
         }
         self.ranks[r].jobs_done.fetch_add(1, Ordering::AcqRel);
-        self.trace.instant_with(
-            EventKind::Job,
-            "complete",
-            &[
-                ("job", Arg::U64(q.id)),
-                ("rank", Arg::U64(r as u64)),
-                ("ok", Arg::U64(outcome.result.is_ok() as u64)),
-            ],
-        );
         self.telem.on_finish(
+            &self.ranks[r].trace,
             Telemetry::class_of(&q.seed.job),
             q.seed.job.deadline,
             &outcome,
@@ -1139,7 +1116,9 @@ impl ServeTier {
         }
         let ranks: Vec<RankState<'_>> = sessions
             .iter()
-            .map(|per_rank| RankState {
+            .enumerate()
+            .map(|(r, per_rank)| RankState {
+                trace: self.trace.with_rank(r),
                 devs: per_rank
                     .iter()
                     .map(|session| ServeDev {
@@ -1194,7 +1173,14 @@ impl ServeTier {
             readmissions,
             ranks_lost,
         };
-        flight::record(FlightCode::RunStart, cfg.ranks as u64, cfg.lanes as u64);
+        self.trace.instant_with(
+            EventKind::Run,
+            "serve_start",
+            &[
+                ("ranks", Arg::U64(cfg.ranks as u64)),
+                ("lanes", Arg::U64(cfg.lanes as u64)),
+            ],
+        );
         let start = Instant::now();
         let submit_result = std::thread::scope(|scope| {
             for r in 0..cfg.ranks {
@@ -1224,7 +1210,11 @@ impl ServeTier {
         });
         submit_result?;
         let wall_millis = start.elapsed().as_secs_f64() * 1e3;
-        flight::record(FlightCode::RunEnd, wall_millis as u64, 0);
+        self.trace.instant_with(
+            EventKind::Run,
+            "serve_end",
+            &[("wall_ms", Arg::U64(wall_millis as u64))],
+        );
 
         if !shared.ledger.all_completed() {
             // Only possible when every rank died (a survivable plan is
@@ -1335,7 +1325,15 @@ impl ServeTier {
         session.seed_plans(&cfg.warm_plans);
         session.prepare_trie_arena().map_err(CutsError::from)?;
         let telem = Telemetry::new(cfg.telemetry, cfg.stats_every, cfg.stats_sink.clone());
-        flight::record(FlightCode::RunStart, 1, 1);
+        // The baseline's lifecycle instants reach the flight ring only:
+        // the journal's job breakdown describes the tier, and sharing it
+        // would count every job twice.
+        let events = Trace::disabled();
+        events.instant_with(
+            EventKind::Run,
+            "serve_start",
+            &[("ranks", Arg::U64(1)), ("lanes", Arg::U64(1))],
+        );
         let start = Instant::now();
         let mut outcomes = Vec::with_capacity(jobs.len());
         let (mut completed, mut failed) = (0u64, 0u64);
@@ -1379,12 +1377,16 @@ impl ServeTier {
                 trie_entries: entries,
                 result,
             };
-            telem.on_finish(Telemetry::class_of(job), job.deadline, &outcome);
+            telem.on_finish(&events, Telemetry::class_of(job), job.deadline, &outcome);
             telem.maybe_emit(i as u64 + 1);
             outcomes.push(outcome);
         }
         let wall_millis = start.elapsed().as_secs_f64() * 1e3;
-        flight::record(FlightCode::RunEnd, wall_millis as u64, 0);
+        events.instant_with(
+            EventKind::Run,
+            "serve_end",
+            &[("wall_ms", Arg::U64(wall_millis as u64))],
+        );
         let slo = telem.slo();
         let postmortem = telem.postmortem.lock().unwrap().take();
         Ok(ServeReport {
@@ -1432,7 +1434,11 @@ fn claim(shared: &ServeShared<'_, '_>, r: usize, dev: &ServeDev<'_>) -> Option<Q
     let Some(i) = pick_claim(views, free, now, shared.cfg.aging) else {
         shared.deferred.fetch_add(1, Ordering::Relaxed);
         shared.telem.deferrals.inc();
-        flight::record(FlightCode::JobDefer, r as u64, inbox.len() as u64);
+        rank.trace.instant_with(
+            EventKind::Job,
+            "defer",
+            &[("waiting", Arg::U64(inbox.len() as u64))],
+        );
         return None;
     };
     let q = inbox.swap_remove(i);
@@ -1462,11 +1468,17 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
         // between two boundary checks.
         if let Some(inj) = &shared.injector {
             if let Some(kind) = inj.should_crash_by(r, rank.jobs_done.load(Ordering::Acquire)) {
-                flight::record_rank(
-                    r as u32,
-                    FlightCode::Fault,
-                    rank.jobs_done.load(Ordering::Relaxed) as u64,
-                    matches!(kind, CrashKind::Error) as u64,
+                rank.trace.instant_with(
+                    EventKind::Fault,
+                    if kind == CrashKind::Panic {
+                        "panic"
+                    } else {
+                        "crash"
+                    },
+                    &[(
+                        "after_jobs",
+                        Arg::U64(rank.jobs_done.load(Ordering::Relaxed) as u64),
+                    )],
                 );
                 shared.mark_rank_dead(
                     r,
@@ -1521,7 +1533,14 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
                 while !dev.try_reserve(reserve_words) {
                     std::thread::sleep(Duration::from_micros(100));
                 }
-                flight::record(FlightCode::JobAdmit, q.id, global_device as u64);
+                rank.trace.instant_with(
+                    EventKind::Job,
+                    "admit",
+                    &[
+                        ("job", Arg::U64(q.id)),
+                        ("device", Arg::U64(global_device as u64)),
+                    ],
+                );
                 // The §5 estimate can undershoot: the chain then grows in
                 // place, each appended segment charged to this device's
                 // ledger. Only when the ledger has no room does the job
@@ -1550,7 +1569,14 @@ fn lane_loop(shared: &ServeShared<'_, '_>, r: usize, d: usize, lane: usize) {
                         Err(BudgetedRunError::GrowthDenied { target_entries }) => {
                             entries = target_entries;
                             shared.telem.growth_denials.inc();
-                            flight::record(FlightCode::GrowthDenied, q.id, target_entries as u64);
+                            rank.trace.instant_with(
+                                EventKind::Job,
+                                "growth_denied",
+                                &[
+                                    ("job", Arg::U64(q.id)),
+                                    ("target_entries", Arg::U64(target_entries as u64)),
+                                ],
+                            );
                             dev.reserved
                                 .fetch_sub(reserve_words + granted, Ordering::AcqRel);
                             let grown_words = dev.session.chain_words(entries);
@@ -2049,12 +2075,17 @@ mod tests {
         // One dump per run, not per failure.
         let path = report.postmortem.as_ref().expect("postmortem written");
         let text = std::fs::read_to_string(path).expect("dump readable");
-        let (reason, events) = flight::parse_dump(&text).expect("dump parses");
+        let (reason, events) = cuts_obs::flight::parse_dump(&text).expect("dump parses");
         assert_eq!(reason, "job_failure");
         // The dump holds the failing job's typed lifecycle: at least its
         // submission and the failure itself.
-        assert!(events.iter().any(|e| e.code == FlightCode::JobSubmit));
-        assert!(events.iter().any(|e| e.code == FlightCode::JobFail));
+        let seen = |name: &str| {
+            events
+                .iter()
+                .any(|e| e.kind == EventKind::Job && e.name == name)
+        };
+        assert!(seen("submit"));
+        assert!(seen("fail"));
         let _ = std::fs::remove_file(path);
     }
 

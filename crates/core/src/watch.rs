@@ -209,6 +209,7 @@ impl WatchSession<'_> {
         let deltas = primary_deltas.expect("primary is alive and was replayed");
         self.applied += 1;
         let queue_millis = start.elapsed().as_secs_f64() * 1e3;
+        let primary_trace = trace.with_rank(primary);
         for d in &deltas {
             let class = format!("watch/q{}", d.query.0);
             let outcome = JobOutcome {
@@ -229,7 +230,7 @@ impl WatchSession<'_> {
                     order: Vec::new(),
                 }),
             };
-            self.telem.on_finish(&class, None, &outcome);
+            self.telem.on_finish(&primary_trace, &class, None, &outcome);
             if let Some(subs) = self.subs.get(d.query.0) {
                 for tx in subs {
                     let _ = tx.send(WatchUpdate {

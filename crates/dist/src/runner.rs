@@ -14,8 +14,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cuts_graph::Graph;
-use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Arg, EventKind};
+use cuts_obs::{flight, Arg, EventKind};
 
 pub use crate::config::DistConfig;
 use crate::fault::FaultInjector;
@@ -140,11 +139,13 @@ pub fn run(
             Ok((_, metrics)) => per_rank.push(metrics),
             Err(e) => {
                 lost_ranks.push(rank);
-                flight::record_rank(
-                    rank as u32,
-                    FlightCode::RankDead,
-                    matches!(e, WorkerError::Panicked { .. }) as u64,
-                    0,
+                trace.with_rank(rank).instant_with(
+                    EventKind::Fault,
+                    "rank_dead",
+                    &[(
+                        "panicked",
+                        Arg::U64(matches!(e, WorkerError::Panicked { .. }) as u64),
+                    )],
                 );
                 // One post-mortem per run: the flight rings hold the
                 // typed events leading up to the first death.
@@ -394,10 +395,10 @@ mod tests {
         assert_eq!(reason, "rank_death");
         assert!(events
             .iter()
-            .any(|e| e.code == cuts_obs::FlightCode::RankDead && e.rank == Some(1)));
+            .any(|e| e.kind == EventKind::Fault && e.name == "rank_dead" && e.rank == Some(1)));
         assert!(events
             .iter()
-            .any(|e| e.code == cuts_obs::FlightCode::ChunkCommit));
+            .any(|e| e.kind == EventKind::Chunk && e.name == "commit"));
         let _ = std::fs::remove_file(path);
         // Gauges and recovery counters landed in the registry.
         assert_eq!(reg.counter("cuts_dist_ranks_lost_total", &[], "").get(), 1);

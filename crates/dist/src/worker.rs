@@ -32,7 +32,6 @@ use bytes::Bytes;
 use cuts_core::{ExecSession, MatchOrder};
 use cuts_gpu_sim::Device;
 use cuts_graph::Graph;
-use cuts_obs::flight::{self, FlightCode};
 use cuts_obs::{Arg, EventKind, Trace};
 use cuts_trie::serial::WireError;
 use cuts_trie::HostTrie;
@@ -341,12 +340,6 @@ impl<'a> Worker<'a> {
         };
         match inj.should_crash(self.comm.rank(), self.chunks_done) {
             Some(CrashKind::Panic) => {
-                flight::record_rank(
-                    self.comm.rank() as u32,
-                    FlightCode::Fault,
-                    self.chunks_done as u64,
-                    0,
-                );
                 self.trace.instant_with(
                     EventKind::Fault,
                     "panic",
@@ -359,12 +352,6 @@ impl<'a> Worker<'a> {
                 )
             }
             Some(CrashKind::Error) => {
-                flight::record_rank(
-                    self.comm.rank() as u32,
-                    FlightCode::Fault,
-                    self.chunks_done as u64,
-                    1,
-                );
                 self.trace.instant_with(
                     EventKind::Fault,
                     "crash",
@@ -384,12 +371,6 @@ impl<'a> Worker<'a> {
         if self.last_heartbeat.elapsed() >= self.config.heartbeat_interval {
             self.comm
                 .broadcast_others(tag::HEARTBEAT, Bytes::from(vec![status.to_byte()]));
-            flight::record_rank(
-                self.comm.rank() as u32,
-                FlightCode::Heartbeat,
-                status.to_byte() as u64,
-                0,
-            );
             self.trace.instant(
                 EventKind::Heartbeat,
                 match status {
@@ -407,12 +388,6 @@ impl<'a> Worker<'a> {
         if self.shared.ledger.commit(id, matches) {
             *total += matches;
             self.chunks_done += 1;
-            flight::record_rank(
-                self.comm.rank() as u32,
-                FlightCode::ChunkCommit,
-                id,
-                matches,
-            );
             self.trace.instant_with(
                 EventKind::Chunk,
                 "commit",
@@ -560,12 +535,6 @@ impl<'a> Worker<'a> {
                     for dc in &jobs {
                         self.shared.ledger.transfer(dc.id, target);
                     }
-                    flight::record_rank(
-                        self.comm.rank() as u32,
-                        FlightCode::Donation,
-                        target as u64,
-                        jobs.len() as u64,
-                    );
                     self.trace.instant_with(
                         EventKind::Donation,
                         "send",
@@ -644,12 +613,6 @@ impl<'a> Worker<'a> {
                 last_reclaim = Instant::now();
                 if !claimed.is_empty() {
                     self.metrics.chunks_reassigned += claimed.len();
-                    flight::record_rank(
-                        me as u32,
-                        FlightCode::ChunkReclaim,
-                        claimed.len() as u64,
-                        0,
-                    );
                     self.trace.instant_with(
                         EventKind::Chunk,
                         "reclaim",

@@ -3,8 +3,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cuts_obs::flight::{self, FlightCode};
-use cuts_obs::{Arg, EventKind, Registry, Trace, SM_LANE_BASE};
+use cuts_obs::{Arg, EventKind, Registry, Span, Trace, SM_LANE_BASE};
 use rayon::prelude::*;
 
 use crate::buffer::GlobalBuffer;
@@ -52,9 +51,8 @@ impl Device {
 
     /// Attaches a serving-metrics registry: every subsequent launch
     /// records its wall time into a per-kernel `cuts_kernel_wall_us`
-    /// histogram and a [`FlightCode::KernelLaunch`] flight event. A
-    /// disabled registry (the default) keeps the launch path at one
-    /// branch per launch.
+    /// histogram. A disabled registry (the default) keeps the launch
+    /// path at one branch per launch.
     pub fn set_registry(&mut self, registry: Registry) {
         self.registry = registry;
     }
@@ -148,15 +146,8 @@ impl Device {
     where
         F: Fn(&mut BlockCtx) -> Result<(), DeviceError> + Sync,
     {
-        let mut span = if self.trace.is_enabled() {
-            let mut s = self.trace.span(EventKind::Kernel, name);
-            s.arg("blocks", Arg::U64(num_blocks as u64));
-            Some(s)
-        } else {
-            None
-        };
+        let (span, launch_start) = self.open_launch(name, num_blocks);
         let per_block = self.trace.is_enabled() && self.trace.config().per_block;
-        let launch_start = self.registry.is_enabled().then(std::time::Instant::now);
         // Blocks accumulate into a launch-local aggregate; the exact total
         // is merged once into the device aggregate and the calling thread's
         // counter sink after the grid joins. (Snapshot deltas would count
@@ -186,25 +177,44 @@ impl Device {
                 r
             })
             .reduce(|| Ok(()), |a, b| a.and(b));
-        let mut total = launch.snapshot();
+        self.retire_launch(name, span, launch_start, launch.snapshot());
+        result
+    }
+
+    /// Opens a launch: its kernel span (a no-op guard when tracing is
+    /// off) and, with a registry attached, its wall-clock start.
+    fn open_launch(&self, name: &str, num_blocks: usize) -> (Span, Option<std::time::Instant>) {
+        let mut span = self.trace.span(EventKind::Kernel, name);
+        span.arg("blocks", Arg::U64(num_blocks as u64));
+        (
+            span,
+            self.registry.is_enabled().then(std::time::Instant::now),
+        )
+    }
+
+    /// Retires a launch: merges its counters into the device aggregate
+    /// and the calling thread's sink, attaches them to the span, and
+    /// records the kernel wall time.
+    fn retire_launch(
+        &self,
+        name: &str,
+        mut span: Span,
+        start: Option<std::time::Instant>,
+        mut total: Counters,
+    ) {
         total.kernel_launches += 1;
         self.counters.merge(&total);
         crate::counters::sink_merge(&total);
-        if let Some(s) = &mut span {
-            s.counters(total.into());
-        }
-        if let Some(start) = launch_start {
-            let wall_us = start.elapsed().as_micros() as u64;
+        span.counters(total.into());
+        if let Some(start) = start {
             self.registry
                 .histogram(
                     "cuts_kernel_wall_us",
                     &[("kernel", name)],
                     "Host wall time per kernel launch, microseconds",
                 )
-                .record(wall_us);
-            flight::record(FlightCode::KernelLaunch, num_blocks as u64, wall_us);
+                .record(start.elapsed().as_micros() as u64);
         }
-        result
     }
 
     /// Runs a single implicit block on the calling thread (for tiny kernels
@@ -221,14 +231,7 @@ impl Device {
     where
         F: FnOnce(&mut BlockCtx) -> T,
     {
-        let mut span = if self.trace.is_enabled() {
-            let mut s = self.trace.span(EventKind::Kernel, name);
-            s.arg("blocks", Arg::U64(1));
-            Some(s)
-        } else {
-            None
-        };
-        let launch_start = self.registry.is_enabled().then(std::time::Instant::now);
+        let (span, launch_start) = self.open_launch(name, 1);
         let mut ctx = BlockCtx {
             block_id: 0,
             num_blocks: 1,
@@ -237,24 +240,7 @@ impl Device {
             shared_used: 0,
         };
         let out = f(&mut ctx);
-        let mut total = ctx.counters.c;
-        total.kernel_launches = 1;
-        self.counters.merge(&total);
-        crate::counters::sink_merge(&total);
-        if let Some(s) = &mut span {
-            s.counters(total.into());
-        }
-        if let Some(start) = launch_start {
-            let wall_us = start.elapsed().as_micros() as u64;
-            self.registry
-                .histogram(
-                    "cuts_kernel_wall_us",
-                    &[("kernel", name)],
-                    "Host wall time per kernel launch, microseconds",
-                )
-                .record(wall_us);
-            flight::record(FlightCode::KernelLaunch, 1, wall_us);
-        }
+        self.retire_launch(name, span, launch_start, ctx.counters.c);
         out
     }
 

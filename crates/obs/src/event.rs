@@ -22,11 +22,14 @@ pub enum EventKind {
     Trie,
     /// Liveness heartbeat broadcast.
     Heartbeat,
-    /// An injected fault firing.
+    /// A fault: an injected crash or panic firing, or a rank declared
+    /// dead.
     Fault,
-    /// A whole engine run (top-level span).
+    /// A whole engine run (top-level span), and the serving run's
+    /// start / end / error instants.
     Run,
-    /// Serving job lifecycle: submit / complete / readmit.
+    /// Serving job lifecycle: submit / admit / defer / growth_denied /
+    /// readmit, and one complete-or-fail event per finished job.
     Job,
     /// Plan-time kernel-policy decisions: per-level micro-kernel choice
     /// and the signature-prefilter verdict.
@@ -78,6 +81,27 @@ impl EventKind {
             EventKind::Arena => "arena",
             EventKind::Batch => "batch",
         }
+    }
+
+    /// Parses a [`EventKind::as_str`] name.
+    pub fn parse(s: &str) -> Option<EventKind> {
+        EventKind::ALL.iter().copied().find(|k| k.as_str() == s)
+    }
+
+    /// Whether instants of this kind also reach the flight ring
+    /// ([`crate::flight`]), enabled trace or not. Lifecycle kinds fire a
+    /// few times per job, chunk or batch; `kernel`, `level`, `arena`,
+    /// `plan` and `policy` fire tens of times per run and would push the
+    /// lifecycle points out of the fixed-size rings.
+    pub fn is_lifecycle(self) -> bool {
+        !matches!(
+            self,
+            EventKind::Kernel
+                | EventKind::Level
+                | EventKind::Arena
+                | EventKind::Plan
+                | EventKind::Policy
+        )
     }
 }
 
@@ -226,6 +250,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), EventKind::ALL.len());
+        for k in EventKind::ALL {
+            assert_eq!(EventKind::parse(k.as_str()), Some(k));
+        }
+        assert_eq!(EventKind::parse("nope"), None);
     }
 
     #[test]

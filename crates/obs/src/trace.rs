@@ -1,17 +1,22 @@
 //! The emission handle: [`Trace`] and the RAII [`Span`] guard.
 //!
 //! A `Trace` is a cheap, cloneable handle that is either **disabled**
-//! (the default — it holds no journal, and every emission method returns
-//! immediately without allocating) or **enabled** (it holds an
-//! `Arc<Journal>` and stamps events with an optional rank tag). The
-//! disabled fast path is a single `Option` check; names and argument
-//! vectors are only materialised on the enabled branch, so instrumented
-//! hot paths cost nothing when tracing is off — a property the overhead
-//! test in `cuts-dist/tests/trace_export.rs` pins down.
+//! (the default — it holds no journal) or **enabled** (it holds an
+//! `Arc<Journal>`), and stamps events with an optional rank tag.
+//! [`Trace::instant_with`] is the one call that emits a point event: it
+//! goes to the journal when the trace is enabled, and — enabled or not
+//! — to the process-wide flight ring ([`crate::flight`]) when its kind
+//! is a lifecycle kind ([`EventKind::is_lifecycle`]). The ring write is
+//! fixed-size and allocation-free; names and argument vectors are only
+//! materialised on the journal branch, so instrumented hot paths
+//! allocate nothing when tracing is off — a property the overhead test
+//! in `cuts-dist/tests/trace_export.rs` pins down. Spans are
+//! journal-only.
 
 use std::sync::Arc;
 
 use crate::event::{Arg, CounterDelta, Event, EventKind};
+use crate::flight;
 use crate::journal::{lane, Journal};
 
 /// Tracing configuration.
@@ -90,13 +95,17 @@ impl Trace {
     }
 
     /// Records an instant event.
-    pub fn instant(&self, kind: EventKind, name: &str) {
+    pub fn instant(&self, kind: EventKind, name: &'static str) {
         self.instant_with(kind, name, &[]);
     }
 
-    /// Records an instant event with arguments. `args` is borrowed so the
-    /// disabled path copies nothing.
-    pub fn instant_with(&self, kind: EventKind, name: &str, args: &[(&'static str, Arg)]) {
+    /// Records an instant event with arguments: into the journal when
+    /// enabled, and into the flight ring whenever `kind` is a lifecycle
+    /// kind. `args` is borrowed so the disabled path copies nothing.
+    pub fn instant_with(&self, kind: EventKind, name: &'static str, args: &[(&'static str, Arg)]) {
+        if kind.is_lifecycle() {
+            flight::global().record(kind, name, self.rank, args);
+        }
         let Some(journal) = &self.journal else {
             return;
         };
@@ -252,6 +261,63 @@ mod tests {
         assert_eq!(events.len(), 2, "rank handle shares the journal");
         assert!(events.iter().any(|e| e.rank == Some(2)));
         assert!(events.iter().any(|e| e.rank.is_none()));
+    }
+
+    #[test]
+    fn instants_route_by_kind() {
+        // Unique probe values pick this test's records out of the
+        // process-wide ring that other tests share.
+        let probe = |e: &Event, v: u64| matches!(e.arg("probe"), Some(Arg::U64(x)) if *x == v);
+        let in_ring = |v: u64| flight::global().snapshot().iter().any(|e| probe(e, v));
+        let base = 0xF11_6470_0000;
+
+        // Lifecycle kind, disabled trace: ring only.
+        let off = Trace::disabled().with_rank(3);
+        off.instant_with(EventKind::Job, "submit", &[("probe", Arg::U64(base))]);
+        let ring = flight::global().snapshot();
+        let e = ring
+            .iter()
+            .find(|e| probe(e, base))
+            .expect("job reaches the ring");
+        assert_eq!(
+            (e.kind, e.name.as_str(), e.rank),
+            (EventKind::Job, "submit", Some(3))
+        );
+
+        // Lifecycle kind, enabled trace: journal and ring.
+        let on = Trace::enabled();
+        on.instant_with(EventKind::Job, "fail", &[("probe", Arg::U64(base + 1))]);
+        assert!(in_ring(base + 1));
+
+        // High-rate kinds: journal only.
+        on.instant_with(
+            EventKind::Arena,
+            "acquire",
+            &[("probe", Arg::U64(base + 2))],
+        );
+        on.instant_with(
+            EventKind::Level,
+            "level 1",
+            &[("probe", Arg::U64(base + 3))],
+        );
+        off.instant_with(
+            EventKind::Level,
+            "level 1",
+            &[("probe", Arg::U64(base + 4))],
+        );
+        for v in base + 2..=base + 4 {
+            assert!(!in_ring(v), "probe {v} must stay out of the ring");
+        }
+        let journal = on.journal().unwrap().drain_sorted();
+        let names: Vec<_> = journal.iter().map(|e| (e.kind, e.name.as_str())).collect();
+        assert_eq!(
+            names,
+            [
+                (EventKind::Job, "fail"),
+                (EventKind::Arena, "acquire"),
+                (EventKind::Level, "level 1")
+            ]
+        );
     }
 
     #[test]

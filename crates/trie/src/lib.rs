@@ -15,17 +15,16 @@
 //! * [`PairTable`] — the PA/CA array pair with the shared atomic cursor.
 //! * [`Trie`] — levels over a pair table, path extraction, chunking.
 //! * [`HostTrie`] — a heap-side copy (donations, verification, tests).
+//! * [`chunk`] — splitting a level's index range for hybrid BFS-DFS.
 //! * [`csf`] — the Compressed Sparse Fibre representation of the same
 //!   path set (the two-pass alternative of Figure 3(B)).
-//! * [`naive`] — the flat full-path table (Figure 3's "traditional"
-//!   layout, used by the GSI-style baseline).
-//! * [`space`] — word-exact storage accounting (Table 1, Figure 2(C)) and
-//!   the closed-form model of Equations 1–5.
+//! * [`space`] — word-exact storage accounting (Table 1, Figure 2(C),
+//!   including the naive full-path table's word count) and the
+//!   closed-form model of Equations 1–5.
 //! * [`serial`] — the wire format used when a busy node donates work.
 
 pub mod chunk;
 pub mod csf;
-pub mod naive;
 pub mod serial;
 pub mod space;
 pub mod table;

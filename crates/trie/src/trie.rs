@@ -143,9 +143,8 @@ impl Trie {
         }
     }
 
-    /// Wraps an existing (e.g. arena-chained or recycled) pair table as an
-    /// empty trie. Chained tables keep their grown segments across the
-    /// round-trip; only entries and level boundaries are discarded.
+    /// Wraps an existing (e.g. arena-chained) pair table as an empty
+    /// trie: any committed entries are discarded, grown segments kept.
     pub fn from_table(table: PairTable) -> Self {
         table.clear();
         Trie {
@@ -154,27 +153,11 @@ impl Trie {
         }
     }
 
-    /// Decomposes the trie back into its pair table (for reuse by the
-    /// next query). Sealed level boundaries are discarded.
-    pub fn into_table(self) -> PairTable {
-        self.table
-    }
-
     /// Drops all levels and entries, leaving the allocated storage in
     /// place — the between-queries reset of a long-lived trie.
     pub fn reset(&mut self) {
         self.levels.clear();
         self.table.clear();
-    }
-
-    /// Sizes the trie the way the paper does: "we first allocate two big
-    /// arrays whose size equals half of the free space available in the
-    /// GPU". `fraction` of the device's free words go to the table
-    /// (half to PA, half to CA).
-    pub fn sized_from_free(device: &Device, fraction: f64) -> Result<Self, DeviceError> {
-        assert!(fraction > 0.0 && fraction <= 1.0);
-        let entries = ((device.free_words() as f64 * fraction) / 2.0) as usize;
-        Trie::on_device(device, entries.max(1))
     }
 
     /// The underlying pair table (kernels append through this).
@@ -753,7 +736,8 @@ mod tests {
         assert_eq!(t.extract_path(0), vec![42]);
 
         // from_table wipes any committed entries.
-        let table = t.into_table();
+        let table = PairTable::on_host(64);
+        table.reserve(1).unwrap().write(0, NO_PARENT, 42);
         assert_eq!(table.len(), 1);
         let t2 = Trie::from_table(table);
         assert_eq!(t2.num_levels(), 0);
@@ -794,25 +778,13 @@ mod tests {
         t.seal_level();
         assert_eq!(t.extract_path(17), vec![1, 25]);
 
-        // into_table / from_table keep the grown chain (capacity and
-        // segments), discarding only entries and level boundaries.
-        let table = t.into_table();
-        assert_eq!(table.len(), 18);
-        let t2 = Trie::from_table(table);
-        assert!(t2.table().is_empty());
-        assert_eq!(t2.num_levels(), 0);
-        assert_eq!(t2.capacity(), 24, "grown chain survives the round-trip");
-        assert!(t2.table().is_chained());
-    }
-
-    #[test]
-    fn sized_from_free_respects_budget() {
-        use cuts_gpu_sim::DeviceConfig;
-        let d = Device::new(DeviceConfig::test_small().with_global_mem_words(1000));
-        let _g = d.alloc_buffer(200).unwrap();
-        let t = Trie::sized_from_free(&d, 0.5).unwrap();
-        // free = 800, fraction 0.5 => 400 words => 200 entries.
-        assert_eq!(t.table().capacity(), 200);
-        assert_eq!(d.allocated_words(), 600);
+        // reset keeps the grown chain (capacity and segments),
+        // discarding only entries and level boundaries.
+        assert_eq!(t.table().len(), 18);
+        t.reset();
+        assert!(t.table().is_empty());
+        assert_eq!(t.num_levels(), 0);
+        assert_eq!(t.capacity(), 24, "grown chain survives the reset");
+        assert!(t.table().is_chained());
     }
 }

@@ -323,7 +323,7 @@ proptest! {
 // Arena slab chains (`cuts_trie::table`): a trie stored as a chain of
 // arena slabs must be observationally identical to one stored in a flat
 // buffer — same paths out for the same paths in, regardless of slab
-// size, growth schedule, or `into_table`/`from_table` recycling.
+// size, growth schedule, or a reset for reuse.
 // ---------------------------------------------------------------------------
 
 use cuts::gpu::{Arena, ClassSpec};
@@ -410,14 +410,14 @@ proptest! {
         // device allocation (the carve) regardless of how often we grew.
         prop_assert_eq!(arena.stats().device_allocs, 1);
 
-        // Recycling the grown chain keeps its capacity and produces the
+        // Resetting the grown chain keeps its capacity and produces the
         // same trie again from a clean cursor.
         let cap = chained.capacity();
-        let mut recycled = Trie::from_table(chained.into_table());
-        prop_assert_eq!(recycled.capacity(), cap);
-        prop_assert!(recycled.table().is_empty());
-        recycled.load(&host).expect("recycled chain retains capacity");
-        prop_assert_eq!(recycled.to_host(), host);
+        chained.reset();
+        prop_assert_eq!(chained.capacity(), cap);
+        prop_assert!(chained.table().is_empty());
+        chained.load(&host).expect("reset chain retains capacity");
+        prop_assert_eq!(chained.to_host(), host);
     }
 }
 

@@ -157,6 +157,11 @@ fn execute_axes_equal_fresh_runs() {
         for (dev_name, dev_cfg) in [
             ("roomy", DeviceConfig::test_small()),
             ("tight", tight.clone()),
+            // Smaller than the deepened seeds: they load in frontier parts.
+            (
+                "tighter",
+                DeviceConfig::test_small().with_global_mem_words(1024),
+            ),
         ] {
             let device = Device::new(dev_cfg);
             let session = ExecSession::new(&device, EngineConfig::default().with_chunk_size(8));
@@ -166,6 +171,7 @@ fn execute_axes_equal_fresh_runs() {
                 let how = format!("{name}: {dev_name} device, seed {seed_name}");
                 let counted = session.execute(&plan, &data, seed, None).unwrap();
                 assert_eq!(counted.num_matches, want.num_matches, "{how}, counting");
+                assert_eq!(counted.level_counts, want.level_counts, "{how}, levels");
                 chunked_runs += usize::from(counted.used_chunking);
 
                 let mut seen = Vec::new();
